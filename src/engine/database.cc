@@ -379,23 +379,19 @@ Result<bool> Database::CompactLocked(DbState& state) {
   next->epoch = cur->epoch;  // same facts, same epoch: semantics unchanged
   next->total_facts = segment->instance().NumFacts();
   next->segments.push_back(std::move(segment));
-  // The merged segment keeps the newest folded publish stamp: views at
-  // least that fresh still see it as covered base, older views see one
-  // (over-approximate but sound) delta segment.
-  next->segment_epochs.push_back(*std::max_element(
-      cur->segment_epochs.begin(), cur->segment_epochs.end()));
+  // The merged segment keeps the newest folded publish stamp, so views at
+  // least that fresh still see it as covered base. An older view covers
+  // part of the merged facts and not the rest, and the merged segment no
+  // longer says which: delta-evaluating all of it would count the covered
+  // facts' derivations a second time (inflating the support DRed relies
+  // on), and a folded tombstone's retractions would be lost outright.
+  // Raise the delta-maintenance floor to the stamp so Refresh falls back
+  // to a cold run for every view older than the merged segment.
+  const uint64_t stamp =
+      *std::max_element(cur->segment_epochs.begin(), cur->segment_epochs.end());
+  next->segment_epochs.push_back(stamp);
   next->segment_kinds.push_back(SegmentKind::kFacts);
-  // Folding a tombstone destroys the evidence a stale view would need
-  // for delta maintenance (a "new" merged fact segment can only grow a
-  // view, never shrink it): raise the shrink floor so Refresh falls back
-  // to a cold run for views older than the newest folded tombstone.
-  next->shrink_floor = cur->shrink_floor;
-  for (size_t i = 0; i < cur->segments.size(); ++i) {
-    if (cur->segment_kinds[i] == SegmentKind::kTombstones) {
-      next->shrink_floor =
-          std::max(next->shrink_floor, cur->segment_epochs[i]);
-    }
-  }
+  next->shrink_floor = std::max(cur->shrink_floor, stamp);
   // Copy-forward-then-swap: in durable mode the merged segment seals to
   // disk and the new manifest generation publishes *first*. A failure —
   // or a crash anywhere inside — leaves CURRENT naming the old
@@ -455,7 +451,7 @@ size_t Database::NumTombstones() const {
   return n;
 }
 
-StoreStats Database::Stats() const {
+StoreStats Database::Stats(const std::set<RelId>* rels) const {
   std::shared_ptr<const SegmentSet> cur = state_->Current();
   StoreStats stats;
   // Per-segment measurements are call_once-cached inside each BaseStore.
@@ -468,19 +464,20 @@ StoreStats Database::Stats() const {
   StoreStats discount;
   for (size_t i = 0; i < cur->segments.size(); ++i) {
     if (cur->segment_kinds[i] == SegmentKind::kFacts) {
-      stats.MergeFrom(cur->segments[i]->Stats());
+      stats.MergeFrom(cur->segments[i]->Stats(), rels);
     } else {
-      discount.MergeFrom(cur->segments[i]->Stats());
+      discount.MergeFrom(cur->segments[i]->Stats(), rels);
     }
   }
   stats.DiscountFrom(discount);
-  stats.MergeFrom(state_->accum.Snapshot());
+  stats.MergeFrom(state_->accum.Snapshot(rels));
   return stats;
 }
 
 Result<PreparedProgram> Database::Compile(Program p,
                                           const CompileOptions& opts) const {
-  StoreStats stats = Stats();
+  const std::set<RelId> rels = AllRels(p);
+  StoreStats stats = Stats(&rels);
   CompileOptions with_stats = opts;
   with_stats.stats = &stats;
   return Engine::Compile(*state_->universe, std::move(p), with_stats);

@@ -41,7 +41,7 @@
 // fact (MVCC as usual); Compact() applies and folds tombstones away — the
 // merged stack holds exactly the visible facts and zero tombstone
 // segments, and SegmentSet::shrink_floor records that views older than
-// the folded tombstones can no longer be delta-maintained.
+// the merged segment can no longer be delta-maintained.
 //
 // Thread-safety contract: one writer at a time (Append/Commit/Compact
 // serialize on an internal writer mutex), any number of concurrent
@@ -61,6 +61,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -223,14 +224,17 @@ class Database {
   /// as epochs bump (StatsAccumulator::Age), so estimates can shrink
   /// after compaction instead of pinning the all-time max. Feed the
   /// snapshot into CompileOptions::stats — or just call Compile() below —
-  /// so the planner ranks access paths by measured selectivity.
-  /// Thread-safe.
-  StoreStats Stats() const;
+  /// so the planner ranks access paths by measured selectivity. A
+  /// non-null `rels` scopes the snapshot to those relations — a compile
+  /// passes its program's relations (AllRels), so its cost does not grow
+  /// with everything other programs derived. Thread-safe.
+  StoreStats Stats(const std::set<RelId>* rels = nullptr) const;
 
-  /// Compiles `p` against this database's Universe with Stats() as the
-  /// planner's selectivity input. Equivalent to Engine::Compile with
-  /// opts.stats pointed at a Stats() snapshot. (Two overloads rather than
-  /// a default argument, matching Open above.)
+  /// Compiles `p` against this database's Universe with Stats() scoped
+  /// to `p`'s relations as the planner's selectivity input. Equivalent to
+  /// Engine::Compile with opts.stats pointed at that snapshot (the
+  /// planner reads no other relation). (Two overloads rather than a
+  /// default argument, matching Open above.)
   Result<PreparedProgram> Compile(Program p, const CompileOptions& opts) const;
   Result<PreparedProgram> Compile(Program p) const;
 
@@ -272,22 +276,23 @@ class Database {
     /// (0 for the Open segment; compaction stamps the merged segment
     /// with the newest folded stamp). How ViewManager tells the
     /// delta segments apart from the base a view of epoch e already
-    /// covers: everything stamped > e is new. Over-approximate across
-    /// compaction — a merged segment counts as entirely new for views
-    /// older than its stamp — which is sound (delta evaluation of facts
-    /// already reflected in the view just re-derives known tuples).
+    /// covers: everything stamped > e is new. A merged segment mixes
+    /// facts a view older than its stamp covers with facts it does not,
+    /// so compaction raises shrink_floor to the stamp and such views take
+    /// the cold path (delta-evaluating the covered facts again would
+    /// double their support counts).
     std::vector<uint64_t> segment_epochs;
     /// Parallel to `segments`: what each segment's tuples mean — facts
     /// add, tombstones retract (shadowing all older segments). Filled by
     /// every constructor of a SegmentSet; append-only stacks are all
     /// kFacts.
     std::vector<SegmentKind> segment_kinds;
-    /// Delta-maintenance horizon for retractions: a view pinned at an
-    /// epoch < shrink_floor cannot be delta-maintained, because Compact()
-    /// folded away tombstone evidence the view has not seen — Refresh
-    /// must fall back to a cold run. Raised by compaction to the newest
-    /// folded tombstone's publish stamp; 0 while no retraction was ever
-    /// compacted away.
+    /// Delta-maintenance horizon: a view pinned at an epoch <
+    /// shrink_floor cannot be delta-maintained, because Compact() folded
+    /// segments it covers together with segments (appends or tombstones)
+    /// it has not seen — Refresh must fall back to a cold run. Raised by
+    /// compaction to the merged segment's stamp; 0 while nothing was
+    /// ever compacted.
     uint64_t shrink_floor = 0;
     /// Visible facts (appended minus retracted).
     size_t total_facts = 0;

@@ -204,7 +204,7 @@ class Executor {
           st = DeleteAndRederive(compiled, heads, &removed, stored_support,
                                  &out.decrements);
         }
-        if (st.ok()) st = EvalStratumDelta(compiled, added);
+        if (st.ok()) st = DeltaRounds(compiled, added);
       } else {
         st = EvalStratum(compiled);
       }
@@ -259,77 +259,59 @@ class Executor {
   Status EvalStratum(const CompiledStratum& stratum) {
     if (!opts_.seminaive) return EvalStratumNaive(stratum);
 
-    // Round 0: all rules, full scans.
+    // Round 0: all rules, full scans; then delta rounds to the fixpoint.
     std::map<RelId, TupleSet> delta;
     pending_.clear();
     for (const RulePlan& plan : stratum.plans) {
       SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr, nullptr));
     }
     SEQDL_RETURN_IF_ERROR(MergePending(&delta));
-
-    // Delta rounds: re-run each rule once per recursive scan occurrence,
-    // with that occurrence restricted to the previous round's delta. The
-    // round's deltas are immutable while the round runs, so one
-    // DeltaIndexer per round can index the large ones (see index.h).
-    while (!delta.empty()) {
-      SEQDL_RETURN_IF_ERROR(BumpRound());
-      pending_.clear();
-      DeltaIndexer delta_idx(u_, delta, opts_.delta_index_threshold);
-      for (const RulePlan& plan : stratum.plans) {
-        for (size_t step_idx : plan.recursive_scan_steps) {
-          SEQDL_RETURN_IF_ERROR(ApplyRule(plan, step_idx, &delta, &delta_idx));
-        }
-      }
-      std::map<RelId, TupleSet> new_delta;
-      SEQDL_RETURN_IF_ERROR(MergePending(&new_delta));
-      delta = std::move(new_delta);
-    }
-    return Status::OK();
+    return delta.empty() ? Status::OK() : DeltaRounds(stratum, delta);
   }
 
-  // One maintenance pass for a stratum whose stored facts were adopted:
-  // each rule re-runs once per scan step over a changed relation, with
-  // that step restricted to the changed set (the appended EDB facts plus
-  // everything earlier strata added — the other steps see the full
-  // store, which already includes both the new segments and the adopted
-  // view). The standard recursive delta rounds then close the fixpoint
-  // over whatever the pass derived. Exactly the semi-naive argument:
+  // Semi-naive rounds from `seed` until a round derives nothing new: each
+  // round applies the rules restricted to the previous round's new facts
+  // (ApplyDelta). Always runs at least one round. RunDelta seeds it with
+  // the changed set of a stratum whose stored facts were adopted (the
+  // appended EDB facts plus everything earlier strata added — the other
+  // steps see the full store, which already includes both the new
+  // segments and the adopted view). Exactly the semi-naive argument:
   // every new derivation must use at least one changed fact somewhere,
   // and each such use is enumerated by the application restricting that
   // occurrence.
-  Status EvalStratumDelta(const CompiledStratum& stratum,
-                          const std::map<RelId, TupleSet>& changed) {
+  Status DeltaRounds(const CompiledStratum& stratum,
+                     const std::map<RelId, TupleSet>& seed) {
     std::map<RelId, TupleSet> delta;
-    pending_.clear();
-    SEQDL_RETURN_IF_ERROR(BumpRound());
-    DeltaIndexer changed_idx(u_, changed, opts_.delta_index_threshold);
+    const std::map<RelId, TupleSet>* prev = &seed;
+    do {
+      SEQDL_RETURN_IF_ERROR(BumpRound());
+      pending_.clear();
+      SEQDL_RETURN_IF_ERROR(ApplyDelta(stratum, *prev));
+      // The round's enumeration is over: `delta` may be refilled in place.
+      SEQDL_RETURN_IF_ERROR(MergePending(&delta));
+      prev = &delta;
+    } while (!delta.empty());
+    return Status::OK();
+  }
+
+  // Re-runs each rule once per scan step over a relation with facts in
+  // `delta`, with that step restricted to them (ApplyRestricted). A step
+  // whose relation `delta` does not touch is skipped: it cannot match a
+  // new fact, and running it would only rescan the store. The deltas are
+  // immutable while the pass runs, so one DeltaIndexer can index the
+  // large ones (see index.h).
+  Status ApplyDelta(const CompiledStratum& stratum,
+                    const std::map<RelId, TupleSet>& delta) {
+    DeltaIndexer delta_idx(u_, delta, opts_.delta_index_threshold);
     for (size_t r = 0; r < stratum.plans.size(); ++r) {
       const RulePlan& plan = stratum.plans[r];
       for (size_t i = 0; i < plan.steps.size(); ++i) {
         const PlanStep& st = plan.steps[i];
         if (st.kind != PlanStep::Kind::kScan) continue;
-        if (changed.count(plan.rule->body[st.lit_idx].pred.rel) == 0) continue;
-        SEQDL_RETURN_IF_ERROR(ApplyRestricted(stratum, r, st.lit_idx, i,
-                                              &changed, &changed_idx));
+        if (delta.count(plan.rule->body[st.lit_idx].pred.rel) == 0) continue;
+        SEQDL_RETURN_IF_ERROR(
+            ApplyRestricted(stratum, r, st.lit_idx, i, &delta, &delta_idx));
       }
-    }
-    SEQDL_RETURN_IF_ERROR(MergePending(&delta));
-
-    while (!delta.empty()) {
-      SEQDL_RETURN_IF_ERROR(BumpRound());
-      pending_.clear();
-      DeltaIndexer delta_idx(u_, delta, opts_.delta_index_threshold);
-      for (size_t r = 0; r < stratum.plans.size(); ++r) {
-        const RulePlan& plan = stratum.plans[r];
-        for (size_t step_idx : plan.recursive_scan_steps) {
-          SEQDL_RETURN_IF_ERROR(
-              ApplyRestricted(stratum, r, plan.steps[step_idx].lit_idx,
-                              step_idx, &delta, &delta_idx));
-        }
-      }
-      std::map<RelId, TupleSet> new_delta;
-      SEQDL_RETURN_IF_ERROR(MergePending(&new_delta));
-      delta = std::move(new_delta);
     }
     return Status::OK();
   }
@@ -440,18 +422,7 @@ class Executor {
       if (!st.ok()) break;
       dec_round_.clear();
       decrement_mode_ = true;
-      DeltaIndexer didx(u_, dminus, opts_.delta_index_threshold);
-      for (size_t r = 0; r < stratum.plans.size() && st.ok(); ++r) {
-        const RulePlan& plan = stratum.plans[r];
-        for (size_t i = 0; i < plan.steps.size() && st.ok(); ++i) {
-          const PlanStep& step = plan.steps[i];
-          if (step.kind != PlanStep::Kind::kScan) continue;
-          if (dminus.count(plan.rule->body[step.lit_idx].pred.rel) == 0) {
-            continue;
-          }
-          st = ApplyRestricted(stratum, r, step.lit_idx, i, &dminus, &didx);
-        }
-      }
+      st = ApplyDelta(stratum, dminus);
       decrement_mode_ = false;
       if (!st.ok()) break;
 

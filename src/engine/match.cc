@@ -96,11 +96,15 @@ class Matcher {
           return Match(items, item_idx + 1, path, pos + bound.size(), v, next);
         }
         // Try all split lengths, shortest first. An upper bound comes from
-        // the minimum length still needed by the remaining items.
+        // the minimum length still needed by the remaining items; when no
+        // unbound path variable follows, the rest consumes exactly that
+        // many values and the upper bound is the only feasible split.
         size_t remaining = path.size() - pos;
-        size_t reserve = MinRemainingLength(items, item_idx + 1, v);
+        bool fixed = true;
+        size_t reserve = MinRemainingLength(items, item_idx + 1, v, &fixed);
         if (reserve > remaining) return true;
-        for (size_t len = 0; len <= remaining - reserve; ++len) {
+        for (size_t len = fixed ? remaining - reserve : 0;
+             len <= remaining - reserve; ++len) {
           PathId sub = u_.InternPath(path.subspan(pos, len));
           v.Bind(it.var, sub);
           bool cont = Match(items, item_idx + 1, path, pos + len, v, next);
@@ -124,9 +128,10 @@ class Matcher {
   }
 
  private:
-  // Minimal number of path values the items from `idx` on must consume.
+  // Minimal number of path values the items from `idx` on must consume;
+  // clears `*fixed` if an unbound path variable can consume more.
   size_t MinRemainingLength(const std::vector<ExprItem>& items, size_t idx,
-                            const Valuation& v) const {
+                            const Valuation& v, bool* fixed) const {
     size_t n = 0;
     for (size_t i = idx; i < items.size(); ++i) {
       const ExprItem& it = items[i];
@@ -137,7 +142,11 @@ class Matcher {
           ++n;
           break;
         case ExprItem::Kind::kPathVar:
-          if (v.IsBound(it.var)) n += u_.PathLength(v.Get(it.var));
+          if (v.IsBound(it.var)) {
+            n += u_.PathLength(v.Get(it.var));
+          } else {
+            *fixed = false;
+          }
           break;
       }
     }

@@ -5,8 +5,10 @@
 #ifndef SEQDL_ENGINE_MATCH_H_
 #define SEQDL_ENGINE_MATCH_H_
 
+#include <cassert>
 #include <functional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/syntax/ast.h"
@@ -15,21 +17,37 @@
 namespace seqdl {
 
 /// A (partial) assignment of variables to paths. Atomic variables always
-/// bind to a singleton path holding an atomic value.
+/// bind to a singleton path holding an atomic value. A rule binds a handful
+/// of variables, so a flat vector searched linearly beats hashing.
 class Valuation {
  public:
-  bool IsBound(VarId v) const { return bindings_.count(v) > 0; }
+  bool IsBound(VarId v) const { return Slot(v) < bindings_.size(); }
   /// Requires IsBound(v).
-  PathId Get(VarId v) const { return bindings_.at(v); }
-  void Bind(VarId v, PathId p) { bindings_[v] = p; }
-  void Unbind(VarId v) { bindings_.erase(v); }
-  size_t size() const { return bindings_.size(); }
-  const std::unordered_map<VarId, PathId>& bindings() const {
-    return bindings_;
+  PathId Get(VarId v) const {
+    size_t i = Slot(v);
+    assert(i < bindings_.size());
+    return bindings_[i].second;
   }
+  void Bind(VarId v, PathId p) {
+    size_t i = Slot(v);
+    if (i == bindings_.size()) bindings_.emplace_back(v, p);
+    bindings_[i].second = p;
+  }
+  void Unbind(VarId v) {
+    size_t i = Slot(v);
+    if (i < bindings_.size()) bindings_.erase(bindings_.begin() + i);
+  }
+  size_t size() const { return bindings_.size(); }
 
  private:
-  std::unordered_map<VarId, PathId> bindings_;
+  /// Index of v's binding; size() when v is unbound.
+  size_t Slot(VarId v) const {
+    size_t i = 0;
+    while (i < bindings_.size() && bindings_[i].first != v) ++i;
+    return i;
+  }
+
+  std::vector<std::pair<VarId, PathId>> bindings_;
 };
 
 /// Evaluates `e` under `v`; error if a variable of `e` is unbound.

@@ -62,8 +62,9 @@ double StoreStats::EstimateScan(RelId rel) const {
                                : static_cast<double>(it->second.tuples);
 }
 
-void StoreStats::MergeFrom(const StoreStats& other) {
-  for (const auto& [rel, theirs] : other.relations) {
+void StoreStats::MergeFrom(const StoreStats& other,
+                           const std::set<RelId>* only) {
+  auto merge = [this](RelId rel, const RelationStats& theirs) {
     RelationStats& mine = relations[rel];
     mine.tuples += theirs.tuples;
     if (mine.columns.size() < theirs.columns.size()) {
@@ -74,6 +75,15 @@ void StoreStats::MergeFrom(const StoreStats& other) {
       mine.columns[col].first.MergeFrom(theirs.columns[col].first);
       mine.columns[col].last.MergeFrom(theirs.columns[col].last);
     }
+  };
+  if (only == nullptr) {
+    for (const auto& [rel, theirs] : other.relations) merge(rel, theirs);
+    return;
+  }
+  // Look the wanted relations up rather than walk all of `other`.
+  for (RelId rel : *only) {
+    auto it = other.relations.find(rel);
+    if (it != other.relations.end()) merge(rel, it->second);
   }
 }
 
@@ -204,9 +214,12 @@ void StatsAccumulator::Record(const StoreStats& s) {
   total_.ObserveMax(s);
 }
 
-StoreStats StatsAccumulator::Snapshot() const {
+StoreStats StatsAccumulator::Snapshot(const std::set<RelId>* rels) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return total_;
+  if (rels == nullptr) return total_;
+  StoreStats out;
+  out.MergeFrom(total_, rels);
+  return out;
 }
 
 void StatsAccumulator::Age(double factor) {

@@ -11,7 +11,11 @@
 // measurements; BaseStore::Stats() computes them over a fixed EDB,
 // ComputeInstanceStats over any instance (e.g. the derived IDB of a
 // finished run), and Database::Stats() merges both so long-lived serving
-// processes re-plan from what actually accumulated.
+// processes re-plan from what actually accumulated. Compiles ask for the
+// program's own relations only (Database::Stats(&rels)): the planner and
+// the lints read no other relation, so a scoped snapshot ranks plans
+// identically while its cost stays independent of how many unrelated
+// programs the process has served.
 //
 // Statistics are estimates feeding a cost model, never semantics: every
 // access path the planner can pick enumerates a sound overapproximation
@@ -24,6 +28,7 @@
 #include <cstddef>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -103,8 +108,10 @@ struct StoreStats {
   /// Folds `other` into this by summing (see FamilyStats::MergeFrom for
   /// the bucket overcount caveat). Used by Database::Stats() to combine
   /// base-EDB measurements with the accumulated derived-fact measurements
-  /// — disjoint fact sets, so summing is the right estimate.
-  void MergeFrom(const StoreStats& other);
+  /// — disjoint fact sets, so summing is the right estimate. A non-null
+  /// `only` restricts the fold to those relations.
+  void MergeFrom(const StoreStats& other,
+                 const std::set<RelId>* only = nullptr);
 
   /// Subtracts `other`'s counters from this, flooring at zero (relations
   /// that discount to zero tuples are dropped). Used by Database::Stats()
@@ -164,7 +171,8 @@ class StatsAccumulator {
   static constexpr double kEpochDecay = 0.5;
 
   void Record(const StoreStats& s);
-  StoreStats Snapshot() const;
+  /// A copy of the recorded measurements; of `*rels` only when non-null.
+  StoreStats Snapshot(const std::set<RelId>* rels = nullptr) const;
   /// Multiplies every recorded counter by `factor` in (0, 1] immediately.
   void Age(double factor);
 

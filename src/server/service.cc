@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -435,7 +436,9 @@ Result<std::shared_ptr<PreparedProgram>> DatabaseService::Prepare(
         *cache_hit = true;
         return cached;
       }
-      drift = StatsDrift(it->second.stats, db_.Stats());
+      // Drift over the program's own relations: the plan read no other.
+      const std::set<RelId> rels = AllRels(cached->program());
+      drift = StatsDrift(it->second.stats, db_.Stats(&rels));
       if (drift < opts_.recompile_drift) {
         *cache_hit = true;
         return cached;
@@ -480,7 +483,11 @@ Result<std::shared_ptr<PreparedProgram>> DatabaseService::CompileFresh(
   // the two reads, the entry is stamped older than its statistics and the
   // next Prepare re-runs the drift check (the safe direction).
   uint64_t epoch = db_.epoch();
-  StoreStats stats = db_.Stats();
+  // Scoped to the program's relations, the only ones the planner and the
+  // lints read: the snapshot's cost and the entry's size stay independent
+  // of how many other programs derived facts before this one.
+  const std::set<RelId> rels = AllRels(*program);
+  StoreStats stats = db_.Stats(&rels);
   // Classify and lint before the program is consumed by the compiler:
   // the admission report drives Run's policy enforcement, the lints ride
   // along in compile replies.

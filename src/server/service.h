@@ -6,10 +6,11 @@
 // program cache keyed by *program text* — clients ship small program
 // sources to the large, long-lived, indexed EDB, and two clients sending
 // byte-identical programs share one plan. Cached plans are ranked by the
-// database's measured statistics at compile time and recompiled when the
-// statistics drift past ServiceOptions::recompile_drift (relative
-// tuple-count change, StatsDrift), exactly the PR 4 serve-loop policy —
-// generalized here out of the CLI so every front end gets it.
+// database's measured statistics of the program's own relations at
+// compile time and recompiled when those statistics drift past
+// ServiceOptions::recompile_drift (relative tuple-count change,
+// StatsDrift), the CLI serve loop's policy generalized here so every
+// front end gets it.
 //
 // Result serving is a *maintained-view* cache (view/view.h): per program
 // text the service keeps the materialized derived IDB (a ViewSnapshot
@@ -194,7 +195,9 @@ class DatabaseService {
   struct CachedProgram {
     std::shared_ptr<PreparedProgram> prog;
     uint64_t epoch = 0;       ///< db epoch at compile time
-    StoreStats stats;         ///< Stats() snapshot the plan was ranked by
+    /// Stats() snapshot the plan was ranked by, scoped to the program's
+    /// relations (AllRels).
+    StoreStats stats;
     /// Admission classification of the program (analysis/admission.h),
     /// computed once per compile; Run consults it to enforce the policy.
     std::shared_ptr<const AdmissionReport> admission;

@@ -164,9 +164,10 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
   }
 
   // A view pinned below the compaction shrink floor cannot be
-  // delta-advanced: compaction folded tombstones it has never observed
-  // into the base, so the stack no longer says which of its facts died.
-  // Fall back to a cold materialization.
+  // delta-advanced: compaction folded writes it has never observed into
+  // segments it covers, so the stack no longer says which facts are new
+  // to it or which of its facts died. Fall back to a cold
+  // materialization.
   if (old != nullptr && old->epoch_ < cur->shrink_floor) old = nullptr;
 
   // Partition the stack by publish stamp: the first `base_prefix`

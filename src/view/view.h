@@ -15,10 +15,10 @@
 // fixpoint. Strata the delta pass cannot maintain soundly (negation over
 // a changed input) are recomputed wholesale; everything else is adopted
 // and patched in place, shrink epochs included. A snapshot pinned below
-// SegmentSet::shrink_floor (compaction folded tombstones it never saw)
-// falls back to a cold materialization. The refreshed snapshot is
-// byte-identical to a cold fixpoint at the new epoch
-// (tests/differential_test.cc enforces this at every epoch, across
+// SegmentSet::shrink_floor (compaction folded segments it covers together
+// with writes it never saw) falls back to a cold materialization. The
+// refreshed snapshot is byte-identical to a cold fixpoint at the new
+// epoch (tests/differential_test.cc enforces this at every epoch, across
 // retraction and compaction).
 //
 // Epoch lifecycle of one view key:
@@ -32,9 +32,10 @@
 // Each vk is immutable once published; a reader holding v1 keeps reading
 // v1 while the manager publishes v3 (exactly like epoch-pinned Sessions).
 // Compaction folds segments under an unchanged epoch: a view at that
-// epoch is still a hit, while an older view sees the merged segment as
-// one over-approximate delta — sound, because delta-evaluating facts the
-// view already reflects only re-derives known tuples.
+// epoch is still a hit, while an older view is materialized cold — the
+// merged segment mixes facts the view covers with facts it has not seen,
+// and delta-evaluating the covered ones again would double their support
+// counts, so a later retraction could leave a dead fact in the view.
 //
 // Every snapshot also records counting-based *support*: per derived
 // tuple, how many rule firings produced it (RunOptions::support). The

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -408,6 +409,54 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
   EXPECT_GE(idb_negation_cases * 40, iterations)
       << idb_negation_cases << " of " << iterations
       << " seeds negated a stratum-1 IDB relation";
+}
+
+// Program-scoped statistics: Database::Compile plans from
+// Database::Stats(&rels) over the program's own relations, which must
+// rank every access path exactly as the full snapshot does — the planner
+// reads no other relation. The database also holds an unrelated relation
+// and the derived statistics of an earlier run, so the two snapshots
+// really differ.
+TEST(DifferentialTest, ScopedStatsPlanLikeFullStats) {
+  size_t iterations = Iterations();
+  for (uint64_t seed = 1; seed <= iterations; ++seed) {
+    Universe u;
+    CaseGenerator gen(u, seed);
+    RandomCase c = gen.Generate();
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
+                 FormatProgram(u, c.program));
+    Instance input = c.input;
+    RelId other = *u.InternRel("Unrelated", 1);
+    for (const char* atom : {"a", "b", "c"}) {
+      input.Add(other, {u.SingletonPath(Value::Atom(u.InternAtom(atom)))});
+    }
+    Result<Database> db = Database::Open(u, std::move(input));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Result<PreparedProgram> first = db->Compile(c.program);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    RunOptions ropts;
+    ropts.max_facts = kMaxFacts;
+    ropts.max_iterations = kMaxIterations;
+    ropts.collect_derived_stats = true;
+    (void)db->OpenSession().Run(*first, ropts);  // budget cutoffs are fine
+
+    const std::set<RelId> rels = AllRels(c.program);
+    StoreStats full = db->Stats();
+    StoreStats scoped = db->Stats(&rels);
+    ASSERT_TRUE(full.Knows(other));
+    for (const auto& [rel, rs] : scoped.relations) {
+      EXPECT_EQ(rels.count(rel), 1u) << u.RelName(rel);
+      EXPECT_EQ(rs.tuples, full.relations.at(rel).tuples) << u.RelName(rel);
+    }
+    CompileOptions with_full;
+    with_full.stats = &full;
+    Result<PreparedProgram> planned_full =
+        Engine::CompileBorrowed(u, c.program, with_full);
+    ASSERT_TRUE(planned_full.ok()) << planned_full.status().ToString();
+    Result<PreparedProgram> planned_scoped = db->Compile(c.program);
+    ASSERT_TRUE(planned_scoped.ok()) << planned_scoped.status().ToString();
+    EXPECT_EQ(planned_full->ExplainPlan(), planned_scoped->ExplainPlan());
+  }
 }
 
 // The ingest differential: facts arriving through Append must be

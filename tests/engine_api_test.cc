@@ -302,16 +302,17 @@ TEST(EngineTest, DeltaIndexProbesFireAboveThreshold) {
 }
 
 TEST(EngineTest, DeltaIndexThresholdBoundaries) {
-  // A chain a0 -> a1 -> ... -> a8 and backward transitive closure: the
-  // recursive T scan runs keyed (first-value on the bound middle node),
-  // and the first delta round holds exactly `edges` tuples — so the
-  // indexed-or-linear decision at RunOptions::delta_index_threshold is
-  // observable precisely at the boundary.
+  // A chain n0 -> n1 -> ... -> n8 and reachability from n0: the
+  // recursive T scan leads its delta-first plan and runs keyed
+  // (first-value on the constant n0), and the first delta round holds
+  // exactly `edges` tuples — so the indexed-or-linear decision at
+  // RunOptions::delta_index_threshold is observable precisely at the
+  // boundary.
   constexpr size_t kEdges = 8;
   Universe u;
   Program p = MustParse(u,
                         "T(@x ++ @y) <- E(@x ++ @y).\n"
-                        "T(@x ++ @z) <- E(@x ++ @y), T(@y ++ @z).\n");
+                        "T(n0 ++ @z) <- T(n0 ++ @y), E(@y ++ @z).\n");
   std::string text;
   for (size_t i = 0; i < kEdges; ++i) {
     text += "E(n" + std::to_string(i) + " ++ n" + std::to_string(i + 1) +
@@ -337,11 +338,13 @@ TEST(EngineTest, DeltaIndexThresholdBoundaries) {
 
   // Exactly at the threshold: the first delta round holds kEdges tuples,
   // and a delta of exactly threshold size is indexed (size < threshold is
-  // the linear-scan condition). Later rounds shrink below and scan
-  // linearly, so exactly that one round probes — once per E tuple.
+  // the linear-scan condition). Later rounds hold one tuple each and scan
+  // linearly, so exactly that one round probes — once, for the one
+  // restricted application.
   EvalStats at;
   Instance out_at = run_with_threshold(kEdges, &at);
-  EXPECT_EQ(at.delta_index_probes, kEdges);
+  EXPECT_EQ(at.delta_index_probes, 1u);
+  EXPECT_EQ(zero.delta_scans, kEdges);  // one per round after round 0
 
   // One above: no delta ever reaches the threshold; all scans linear.
   EvalStats above;
@@ -364,6 +367,50 @@ TEST(EngineTest, DeltaIndexThresholdBoundaries) {
   Result<Instance> scanned = prog->Run(in, no_index);
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(out_zero, *scanned);
+}
+
+// Example 2.1 with the automaton inlined as program facts: N, D and F
+// are rules of the recursive stratum, so every delta round would scan S
+// only to probe their empty deltas. Skipping restricted applications over
+// relations without new facts keeps the full-scan count independent of
+// the number of rounds, i.e. of the log length.
+TEST(EngineTest, EmptyDeltaApplicationsAreSkipped) {
+  constexpr char kNfa[] =
+      "N(q0).\n"
+      "D(q0, a, q0). D(q0, b, q0). D(q0, a, q1). D(q1, b, q2).\n"
+      "F(q2).\n"
+      "S(@q ++ $x, eps) <- R($x), N(@q).\n"
+      "S(@q2 ++ $y, $z ++ @a) <- S(@q1 ++ @a ++ $y, $z), D(@q1, @a, @q2).\n"
+      "A($x) <- S(@q, $x), F(@q).\n";
+  auto run = [&](size_t len, EvalStats* stats, std::string* oracle) {
+    Universe u;
+    std::string word;
+    for (size_t i = 0; i < len; ++i) {
+      word += i % 3 == 2 || i + 1 == len ? 'b' : 'a';  // accepted: ends in ab
+    }
+    Instance in;
+    RelId r = *u.InternRel("R", 1);
+    in.Add(r, {u.PathOfChars(word)});
+    in.Add(r, {u.PathOfChars(std::string(len, 'a'))});
+    Result<PreparedProgram> prog = Engine::Compile(u, MustParse(u, kNfa));
+    EXPECT_TRUE(prog.ok()) << prog.status().ToString();
+    Result<Instance> out = prog->Run(in, RunOptions(), stats);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    RunOptions naive;
+    naive.seminaive = false;
+    Result<Instance> reference = prog->Run(in, naive);
+    EXPECT_TRUE(reference.ok()) << reference.status().ToString();
+    *oracle = reference->ToString(u);
+    return out->ToString(u);
+  };
+
+  EvalStats short_run, long_run;
+  std::string short_oracle, long_oracle;
+  EXPECT_EQ(run(5, &short_run, &short_oracle), short_oracle);
+  EXPECT_EQ(run(20, &long_run, &long_oracle), long_oracle);
+  EXPECT_NE(short_oracle.find("A(a·a·b·a·b)"), std::string::npos);
+  EXPECT_GT(long_run.rounds, short_run.rounds);
+  EXPECT_EQ(long_run.full_scans, short_run.full_scans);
 }
 
 TEST(EngineTest, IndexProbesFireOnJoinWorkload) {

@@ -164,6 +164,64 @@ TEST(MatchTest, EarlyStopViaCallback) {
   EXPECT_EQ(count, 2u);
 }
 
+// The split rule: a path variable followed by no unbound path variable
+// has one feasible length, so matching binds it to exactly that subpath
+// instead of interning every candidate prefix.
+TEST(MatchTest, LastPathVariableInternsOnlyTheFeasibleSplit) {
+  Universe u;
+  constexpr size_t kLen = 12;
+  std::vector<Value> values;
+  for (size_t i = 0; i < kLen; ++i) {
+    values.push_back(Value::Atom(u.InternAtom("v" + std::to_string(i))));
+  }
+  PathId p = u.InternPath(values);
+  PathId first = u.SingletonPath(values[0]);
+  VarId a = u.InternVar(VarKind::kAtomic, "a");
+  VarId y = u.InternVar(VarKind::kPath, "y");
+  VarId z = u.InternVar(VarKind::kPath, "z");
+
+  auto match = [&](const std::string& text,
+                   std::vector<std::vector<PathId>>* got) {
+    PathExpr e = MustExpr(u, text);
+    size_t before = u.num_paths();
+    Valuation v;
+    MatchExpr(u, e, p, v, [&](Valuation& nu) {
+      std::vector<PathId> row;
+      for (VarId var : {a, y, z}) {
+        row.push_back(nu.IsBound(var) ? nu.Get(var) : kEmptyPath);
+      }
+      got->push_back(row);
+      return true;
+    });
+    return u.num_paths() - before;
+  };
+
+  std::vector<std::vector<PathId>> got;
+  EXPECT_LE(match("@a ++ $y", &got), 1u);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0][0], first);
+  EXPECT_EQ(got[0][1], u.SubPath(p, 1, kLen - 1));
+
+  got.clear();
+  EXPECT_EQ(match("$z", &got), 0u);  // the whole path is already interned
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0][2], p);
+}
+
+// Where a later unbound path variable still shares the remainder, every
+// split is still tried.
+TEST(MatchTest, SplitRuleKeepsEnumeratingOpenSplits) {
+  Universe u;
+  EXPECT_EQ(CountMatches(u, "$x ++ $x", "a ++ b ++ a ++ b"), 1u);
+  EXPECT_EQ(CountMatches(u, "$x ++ $x", "a ++ b ++ a"), 0u);
+  // One valuation per occurrence of `a`.
+  EXPECT_EQ(CountMatches(u, "$u ++ a ++ $v", "a ++ b ++ a ++ a"), 3u);
+  // One per (x, y) position pair with x first; $w takes the rest.
+  EXPECT_EQ(CountMatches(u, "$u ++ x ++ $v ++ y ++ $w", "x ++ y ++ x ++ y"),
+            3u);
+  EXPECT_EQ(CountMatches(u, "$x ++ $y ++ <$z>", "a ++ b ++ <c ++ d>"), 3u);
+}
+
 TEST(MatchTest, EvalExprBuildsPacks) {
   Universe u;
   Valuation v;

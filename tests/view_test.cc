@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
 #include "src/engine/instance.h"
+#include "src/server/service.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
 #include "src/view/view.h"
@@ -111,18 +114,102 @@ TEST(ViewTest, DeltaRefreshAcrossCompaction) {
   ASSERT_TRUE(db->views().Refresh("reach", prog).ok());
 
   // Compaction folds the stack under an unchanged epoch; the merged
-  // segment keeps the newest folded publish stamp, so a view older than
-  // that stamp sees it as one (over-approximate but sound) delta.
+  // segment keeps the newest folded publish stamp, and a view older than
+  // that stamp covers only part of it, so it is materialized cold.
   ASSERT_TRUE(db->Append(MustInstance(u, "E(b, c).")).ok());
   ASSERT_TRUE(*db->Compact());
   auto v = db->views().Refresh("reach", prog);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+  EXPECT_EQ(db->views().counters().cold_runs, 2u);
+  EXPECT_EQ(db->views().counters().delta_refreshes, 0u);
 
   // A view refreshed at the compacted epoch is a plain hit afterwards.
   auto again = db->views().Refresh("reach", prog);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(v->get(), again->get());
+}
+
+// A view covering part of a compacted stack must not delta-evaluate the
+// merged segment: the facts it already covers would count their firings
+// a second time, and a retraction would then decrement a doubled support
+// count once and leave the retracted fact's consequence in the view.
+TEST(ViewTest, CompactionOfCoveredAndNewSegmentsKeepsSupportExact) {
+  Universe u;
+  Result<Database> db = Database::Open(u, Instance());
+  ASSERT_TRUE(db.ok());
+  PreparedProgram prog = MustCompile(u, "S($x) <- R($x), $x = $u ++ b.\n");
+  ASSERT_TRUE(db->Append(MustInstance(u, "R(a ++ b).")).ok());
+  ASSERT_TRUE(db->views().Refresh("s", prog).ok());  // covers epoch 1
+
+  // The newest folded segment is an append, so no tombstone is folded.
+  ASSERT_TRUE(db->Append(MustInstance(u, "R(c ++ b).")).ok());
+  ASSERT_TRUE(*db->Compact());
+  auto v = db->views().Refresh("s", prog);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+  RelId s_rel = *u.FindRel("S");
+  auto rel_it = (*v)->support().find(s_rel);
+  ASSERT_NE(rel_it, (*v)->support().end());
+  EXPECT_EQ(rel_it->second->at({u.PathOfChars("ab")}), 1u);
+
+  ASSERT_TRUE(db->Retract(MustInstance(u, "R(a ++ b).")).ok());
+  v = db->views().Refresh("s", prog);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+  EXPECT_FALSE((*v)->idb().Contains(s_rel, {u.PathOfChars("ab")}));
+}
+
+// The same defect end to end through DatabaseService: a view registered
+// on an empty EDB is refreshed by every write of a seeded append/retract
+// script while auto-compaction folds the stack, and every served answer
+// must equal a cold fixpoint over the EDB at that epoch.
+TEST(ViewTest, ServedViewMatchesColdRunAcrossAutoCompaction) {
+  Universe u;
+  Database::OpenOptions opts;
+  opts.auto_compact_segments = 16;
+  Result<Database> db = Database::Open(u, Instance(), opts);
+  ASSERT_TRUE(db.ok());
+  DatabaseService service(u, std::move(*db));
+  protocol::RunRequest run;
+  run.program = "S($x) <- R($x), $x = $u ++ rp ++ $v ++ act0 ++ $w.\n";
+  run.output_rel = "S";
+  ASSERT_TRUE(service.Run(run).ok());  // register the view on the empty EDB
+  PreparedProgram prog = MustCompile(u, run.program);
+
+  // Event-log batches of 4 logs x 10 events over act0..act5, co, rp.
+  std::mt19937 rng(1);
+  const std::vector<std::string> sigma = {"act0", "act1", "act2", "act3",
+                                          "act4", "act5", "co",   "rp"};
+  auto batch = [&](size_t id) {
+    std::string text;
+    for (size_t log = 0; log < 4; ++log) {
+      text += "R(b" + std::to_string(id) + "l" + std::to_string(log);
+      for (size_t e = 0; e < 10; ++e) text += " ++ " + sigma[rng() % 8];
+      text += ").\n";
+    }
+    return text;
+  };
+  // Every fifth write retracts a batch appended earlier and still live.
+  std::vector<std::string> live;
+  for (size_t i = 1; i <= 50; ++i) {
+    bool retract = i % 5 == 0 && !live.empty();
+    if (retract) {
+      size_t pick = rng() % live.size();
+      ASSERT_TRUE(service.Retract({live[pick], ""}).ok());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else {
+      live.push_back(batch(i));
+      ASSERT_TRUE(service.Append({live.back(), ""}).ok());
+    }
+    Result<protocol::RunReply> served = service.Run(run);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    Result<Instance> cold = service.db().Snapshot().Run(prog);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    ASSERT_EQ(served->rendered,
+              cold->Project({*u.FindRel("S")}).ToString(u))
+        << "after write " << i << (retract ? " (retract)" : " (append)");
+  }
 }
 
 TEST(ViewTest, AppendPromotingDerivedFactToEdb) {
