@@ -407,11 +407,12 @@ Result<protocol::RunReply> Coordinator::RunResidual(
 
   // Finish locally with single-node machinery end to end — Database +
   // Session::Run has exactly the derived-only overlay semantics a
-  // standalone server renders, so the answer matches byte for byte.
-  SEQDL_ASSIGN_OR_RETURN(PreparedProgram prepared,
-                         Engine::Compile(*u_, std::move(program), {}));
+  // standalone server renders, so the answer matches byte for byte. The
+  // plan ranks access paths by the gathered EDB's statistics.
   SEQDL_ASSIGN_OR_RETURN(Database db,
                          Database::Open(*u_, std::move(gathered)));
+  SEQDL_ASSIGN_OR_RETURN(PreparedProgram prepared,
+                         db.Compile(std::move(program)));
   Session session = db.Snapshot();
   RunOptions ropts = opts_.residual_run;
   ropts.collect_derived_stats = req.collect_derived_stats;

@@ -1080,7 +1080,14 @@ Result<PreparedProgram> Engine::CompileShared(
   PreparedProgram prep(u, std::move(p));
   PlannerOptions popts;
   popts.reorder_scans = opts.reorder_scans;
-  popts.stats = opts.stats;
+  // The program's own ground facts plan from their measured shape; a
+  // no-statistics compile keeps the legacy heuristic untouched.
+  StoreStats with_facts;
+  if (opts.stats != nullptr) {
+    with_facts = *opts.stats;
+    AddProgramFactStats(u, *prep.program_, &with_facts);
+    popts.stats = &with_facts;
+  }
   for (const Stratum& s : prep.program_->strata) {
     std::set<RelId> stratum_idb;
     for (const Rule& r : s.rules) stratum_idb.insert(r.head.rel);
@@ -1148,6 +1155,18 @@ std::string PreparedProgram::ExplainPlan() const {
       for (size_t i = 0; i < plan.steps.size(); ++i) {
         out += "    step " + std::to_string(i) + ": " +
                DescribeStep(u, plan, i) + "\n";
+      }
+      // Semi-naive rounds run the delta-first variant of each recursive
+      // scan, which is where a recursive rule spends its probes.
+      for (size_t rec : plan.recursive_scan_steps) {
+        const size_t lit = plan.steps[rec].lit_idx;
+        const RulePlan& variant = strata_[s].delta_plans[r].at(lit);
+        out += "    delta " + u.RelName(plan.rule->body[lit].pred.rel) +
+               " (literal " + std::to_string(lit) + ")\n";
+        for (size_t i = 0; i < variant.steps.size(); ++i) {
+          out += "      step " + std::to_string(i) + ": " +
+                 DescribeStep(u, variant, i) + "\n";
+        }
       }
     }
   }

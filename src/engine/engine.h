@@ -89,9 +89,11 @@ struct CompileOptions {
   /// Measured store statistics (Database::Stats(), BaseStore::Stats(), or
   /// ComputeInstanceStats) ranking candidate access paths and the scan
   /// order by expected bucket size — see plan.h. nullptr = the legacy
-  /// first-ground-argument heuristic. Only read during the Compile call;
-  /// statistics never change results, only cost (the differential harness
-  /// enforces this).
+  /// first-ground-argument heuristic. When set, Compile also measures
+  /// the program's own ground facts into a private copy (see
+  /// AddProgramFactStats). Only read during the Compile call; statistics
+  /// never change results, only cost (the differential harness enforces
+  /// this).
   const StoreStats* stats = nullptr;
 };
 
@@ -290,7 +292,9 @@ class PreparedProgram {
   /// each scheduled step with its chosen access path (whole/first/last
   /// -value key column or full scan), the planner's selectivity estimate
   /// when the program was compiled with statistics, and which scan steps
-  /// re-run against semi-naive deltas. `seqdl run --explain` prints this.
+  /// re-run against semi-naive deltas — followed by the delta-first plan
+  /// variant those rounds execute for each of them. `seqdl run --explain`
+  /// prints this.
   std::string ExplainPlan() const;
 
  private:

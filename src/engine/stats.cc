@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -155,6 +156,42 @@ StoreStats ComputeInstanceStats(const Universe& u, const Instance& inst) {
     stats.relations.emplace(rel, std::move(rs));
   }
   return stats;
+}
+
+namespace {
+
+/// The tuple of a ground fact rule (empty body, ground head), else nullopt.
+std::optional<Tuple> GroundFact(Universe& u, const Rule& r) {
+  if (!r.body.empty()) return std::nullopt;
+  Tuple t;
+  for (const PathExpr& e : r.head.args) {
+    if (!e.IsGround()) return std::nullopt;
+    Result<PathId> path = EvalGroundExpr(u, e);
+    if (!path.ok()) return std::nullopt;
+    t.push_back(*path);
+  }
+  return t;
+}
+
+}  // namespace
+
+void AddProgramFactStats(Universe& u, const Program& p, StoreStats* stats) {
+  // Per head relation: its facts so far, or nullopt once a rule that is
+  // not a ground fact rules it out (or the stats already know it).
+  std::map<RelId, std::optional<Instance>> facts;
+  for (const Rule* r : p.AllRules()) {
+    auto [it, inserted] = facts.try_emplace(r->head.rel);
+    if (inserted && !stats->Knows(r->head.rel)) it->second.emplace();
+    if (!it->second) continue;
+    if (std::optional<Tuple> t = GroundFact(u, *r)) {
+      it->second->Add(r->head.rel, std::move(*t));
+    } else {
+      it->second.reset();
+    }
+  }
+  for (const auto& [rel, inst] : facts) {
+    if (inst) stats->MergeFrom(ComputeInstanceStats(u, *inst));
+  }
 }
 
 void StoreStats::ObserveMax(const StoreStats& other) {

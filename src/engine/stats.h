@@ -15,7 +15,10 @@
 // program's own relations only (Database::Stats(&rels)): the planner and
 // the lints read no other relation, so a scoped snapshot ranks plans
 // identically while its cost stays independent of how many unrelated
-// programs the process has served.
+// programs the process has served. A program's own ground facts (an
+// automaton inlined as `D(q0, a, q1).` rules) are data too: the compiler
+// measures relations defined only by such facts (AddProgramFactStats), so
+// only relations derived by real rules fall back to the priors.
 //
 // Statistics are estimates feeding a cost model, never semantics: every
 // access path the planner can pick enumerates a sound overapproximation
@@ -33,6 +36,7 @@
 #include <vector>
 
 #include "src/engine/instance.h"
+#include "src/syntax/ast.h"
 #include "src/term/universe.h"
 
 namespace seqdl {
@@ -79,8 +83,8 @@ struct RelationStats {
 
 /// Measured statistics for a whole store, keyed by relation. The planner's
 /// Estimate* accessors fall back to fixed priors for relations the stats
-/// never saw (typically IDB relations, whose contents only exist at run
-/// time): a whole-value probe is assumed near-selective, prefix/suffix
+/// never saw (IDB relations derived by rules, whose contents only exist
+/// at run time): a whole-value probe is assumed near-selective, prefix/suffix
 /// probes somewhat less, and a full scan expensive — which reproduces the
 /// legacy whole > prefix/suffix > full preference in the absence of data.
 struct StoreStats {
@@ -146,6 +150,15 @@ struct StoreStats {
 /// each of the three index families would have. Pure computation over an
 /// instance the caller keeps alive; never builds or touches real indexes.
 StoreStats ComputeInstanceStats(const Universe& u, const Instance& inst);
+
+/// Measures the ground facts of `p` into `stats` for every relation that
+/// ground facts alone define (each rule with that head has an empty body
+/// and a ground head) and that `stats` does not already Know(). Interns
+/// the facts' paths, which running the program interns anyway. Called by
+/// Engine::Compile on its private copy of CompileOptions::stats, so
+/// program facts plan like the EDB while a no-statistics compile keeps
+/// the legacy plan.
+void AddProgramFactStats(Universe& u, const Program& p, StoreStats* stats);
 
 /// Thread-safe accumulator of per-run derived-fact statistics. Database
 /// owns one; Session::Run records each run's derived stats into it (when

@@ -14,13 +14,22 @@ namespace {
 size_t HashCombine(size_t seed, size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
 }
-}  // namespace
 
-size_t Universe::PathKeyHash::operator()(const std::vector<Value>& p) const {
+size_t HashPath(std::span<const Value> p) {
   size_t h = 0x42d1a7u;
   for (Value v : p) h = HashCombine(h, ValueHash()(v));
   return h;
 }
+
+[[noreturn]] void AbortFull(const char* what, uint32_t n) {
+  // Unconditional (not assert): past the limit an id would overflow
+  // Value's 31-bit payload and the block array — fail loudly rather than
+  // mint corrupt ids in release builds.
+  std::fprintf(stderr, "seqdl: Universe %s full (%u entries); aborting\n",
+               what, n);
+  std::abort();
+}
+}  // namespace
 
 Universe::PathShard::~PathShard() {
   for (std::atomic<std::vector<Value>*>& b : blocks) {
@@ -28,37 +37,66 @@ Universe::PathShard::~PathShard() {
   }
 }
 
-uint32_t Universe::PathBlockOf(uint32_t local) {
+uint32_t Universe::BlockOf(uint32_t local) {
   return static_cast<uint32_t>(
-             std::bit_width((local >> kPathFirstBlockBits) + 1)) -
+             std::bit_width((local >> kFirstBlockBits) + 1)) -
          1;
 }
 
-uint32_t Universe::PathOffsetOf(uint32_t local, uint32_t block) {
-  return local - (((1u << block) - 1) << kPathFirstBlockBits);
+uint32_t Universe::OffsetOf(uint32_t local, uint32_t block) {
+  return local - (((1u << block) - 1) << kFirstBlockBits);
 }
 
-uint32_t Universe::PathBlockCapacity(uint32_t block) {
-  return (1u << kPathFirstBlockBits) << block;
+uint32_t Universe::BlockCapacity(uint32_t block) {
+  return (1u << kFirstBlockBits) << block;
+}
+
+void Universe::GrowIndex(PathShard& s) {
+  std::vector<IndexSlot> grown(s.index.size() * 2);
+  const size_t mask = grown.size() - 1;
+  for (const IndexSlot& slot : s.index) {
+    if (slot.id_plus_one == 0) continue;
+    size_t i = slot.hash & mask;
+    while (grown[i].id_plus_one != 0) i = (i + 1) & mask;
+    grown[i] = slot;
+  }
+  s.index = std::move(grown);
 }
 
 Universe::Universe() : path_shards_(new PathShard[kPathShards]) {
+  for (uint32_t i = 0; i < kPathShards; ++i) {
+    path_shards_[i].index.resize(kIndexInitialSlots);
+  }
   // Reserve PathId 0 (shard 0, index 0) for the empty path: entry 0 of the
   // first block is a default-constructed (empty) vector, which is exactly
-  // the empty path's contents.
+  // the empty path's contents. It never enters the index (InternPath
+  // answers the empty span directly).
   PathShard& s0 = path_shards_[0];
-  s0.blocks[0].store(new std::vector<Value>[PathBlockCapacity(0)],
+  s0.blocks[0].store(new std::vector<Value>[BlockCapacity(0)],
                      std::memory_order_release);
   s0.size = 1;
   s0.published_size.store(1, std::memory_order_relaxed);
 }
 
-Universe::~Universe() = default;
+Universe::~Universe() {
+  for (std::atomic<std::atomic<PathId>*>& b : singleton_blocks_) {
+    delete[] b.load(std::memory_order_relaxed);
+  }
+}
 
 AtomId Universe::InternAtomLocked(std::string_view name) {
   auto it = atom_ids_.find(std::string(name));
   if (it != atom_ids_.end()) return it->second;
   AtomId id = static_cast<AtomId>(atom_names_.size());
+  if (id >= kMaxAtoms) AbortFull("atom table", id);
+  uint32_t block_idx = BlockOf(id);
+  if (singleton_blocks_[block_idx].load(std::memory_order_relaxed) ==
+      nullptr) {
+    // Value-initialized: every slot starts as kEmptyPath (unset).
+    singleton_blocks_[block_idx].store(
+        new std::atomic<PathId>[BlockCapacity(block_idx)](),
+        std::memory_order_release);
+  }
   atom_names_.emplace_back(name);
   atom_ids_.emplace(std::string(name), id);
   return id;
@@ -87,48 +125,58 @@ size_t Universe::num_atoms() const {
 
 PathId Universe::InternPath(std::span<const Value> values) {
   if (values.empty()) return kEmptyPath;
-  std::vector<Value> key(values.begin(), values.end());
-  uint32_t shard =
-      static_cast<uint32_t>(PathKeyHash()(key)) & (kPathShards - 1);
+  const size_t h = HashPath(values);
+  const uint32_t shard = static_cast<uint32_t>(h) & (kPathShards - 1);
+  // The slot hash drops the shard bits, which are equal within a shard.
+  const uint32_t hash = static_cast<uint32_t>(h >> kPathShardBits);
   PathShard& s = path_shards_[shard];
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.ids.find(key);
-  if (it != s.ids.end()) return it->second;
-  uint32_t local = s.size;
-  if (local >= kMaxPathsPerShard) {
-    // Unconditional (not assert): past this point the id would overflow
-    // Value's 31-bit payload and the block array — fail loudly rather
-    // than mint corrupt PathIds in release builds.
-    std::fprintf(stderr,
-                 "seqdl: Universe path shard full (%u paths); aborting\n",
-                 local);
-    std::abort();
+  size_t mask = s.index.size() - 1;
+  size_t i = hash & mask;
+  for (; s.index[i].id_plus_one != 0; i = (i + 1) & mask) {
+    const IndexSlot& slot = s.index[i];
+    if (slot.hash != hash) continue;
+    // Compare against the stored path itself; under mu the block pointer
+    // and entry are this shard's own writes.
+    const uint32_t local = (slot.id_plus_one - 1) >> kPathShardBits;
+    const uint32_t b = BlockOf(local);
+    const std::vector<Value>& stored =
+        s.blocks[b].load(std::memory_order_relaxed)[OffsetOf(local, b)];
+    if (std::ranges::equal(stored, values)) return slot.id_plus_one - 1;
   }
-  uint32_t block_idx = PathBlockOf(local);
+  const uint32_t local = s.size;
+  if (local >= kMaxPathsPerShard) AbortFull("path shard", local);
+  uint32_t block_idx = BlockOf(local);
   std::vector<Value>* block = s.blocks[block_idx].load(std::memory_order_relaxed);
   if (block == nullptr) {
-    block = new std::vector<Value>[PathBlockCapacity(block_idx)];
+    block = new std::vector<Value>[BlockCapacity(block_idx)];
     s.blocks[block_idx].store(block, std::memory_order_release);
   }
-  PathId id = (local << kPathShardBits) | shard;
+  const PathId id = (local << kPathShardBits) | shard;
   // The entry is fully written before the id can escape: same-shard lookups
   // synchronize on mu, and any other transfer of the id between threads
   // carries its own happens-before edge.
-  block[PathOffsetOf(local, block_idx)] = key;
-  s.ids.emplace(std::move(key), id);
+  block[OffsetOf(local, block_idx)].assign(values.begin(), values.end());
   s.size = local + 1;
   s.published_size.store(s.size, std::memory_order_relaxed);
+  if (2 * static_cast<size_t>(s.size) > s.index.size()) {
+    GrowIndex(s);
+    mask = s.index.size() - 1;
+    i = hash & mask;
+    while (s.index[i].id_plus_one != 0) i = (i + 1) & mask;
+  }
+  s.index[i] = IndexSlot{hash, id + 1};
   return id;
 }
 
 std::span<const Value> Universe::GetPath(PathId id) const {
   uint32_t shard = id & (kPathShards - 1);
   uint32_t local = id >> kPathShardBits;
-  uint32_t block_idx = PathBlockOf(local);
+  uint32_t block_idx = BlockOf(local);
   const std::vector<Value>* block =
       path_shards_[shard].blocks[block_idx].load(std::memory_order_acquire);
   assert(block != nullptr && "unknown PathId");
-  return block[PathOffsetOf(local, block_idx)];
+  return block[OffsetOf(local, block_idx)];
 }
 
 size_t Universe::num_paths() const {
@@ -164,6 +212,23 @@ PathId Universe::SubPath(PathId p, size_t start, size_t len) {
 }
 
 PathId Universe::SingletonPath(Value v) {
+  if (v.is_atom()) {
+    const AtomId a = v.atom();
+    const uint32_t b = BlockOf(a);
+    std::atomic<PathId>* block =
+        b < kMaxBlocks ? singleton_blocks_[b].load(std::memory_order_acquire)
+                       : nullptr;
+    if (block != nullptr) {
+      std::atomic<PathId>& slot = block[OffsetOf(a, b)];
+      PathId id = slot.load(std::memory_order_acquire);
+      if (id != kEmptyPath) return id;
+      // Racing fillers all intern the same id; the release store makes the
+      // path entry visible to whoever reads the slot next.
+      id = InternPath(std::span<const Value>(&v, 1));
+      slot.store(id, std::memory_order_release);
+      return id;
+    }
+  }
   return InternPath(std::span<const Value>(&v, 1));
 }
 

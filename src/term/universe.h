@@ -5,12 +5,16 @@
 // Thread safety: all interning and lookup methods may be called from any
 // number of threads concurrently (parallel PreparedProgram::Run / Session
 // runs intern paths while evaluating). The path store is sharded: each
-// shard's hash-cons table is guarded by its own mutex, while resolved paths
-// live in append-only block storage published with release stores, so
-// GetPath never takes a lock. The (much colder) atom/variable/relation
-// tables are guarded by one shared_mutex each (lookups take shared locks,
-// interning exclusive ones) and hand out references into std::deque
-// storage, which never relocates elements.
+// shard's hash-cons index is an open-addressed table of (hash, id) slots
+// guarded by the shard's mutex, and the paths themselves live once, in
+// append-only block storage published with release stores, so GetPath
+// never takes a lock and a lookup that hits allocates nothing. One-atom
+// paths — the matcher's @var bindings — skip the index altogether:
+// SingletonPath reads a lock-free per-atom slot filled on first use. The
+// (much colder) atom/variable/relation tables are guarded by one
+// shared_mutex each (lookups take shared locks, interning exclusive ones)
+// and hand out references into std::deque storage, which never relocates
+// elements.
 #ifndef SEQDL_TERM_UNIVERSE_H_
 #define SEQDL_TERM_UNIVERSE_H_
 
@@ -84,7 +88,8 @@ class Universe {
   PathId Append(PathId p, Value v);
   /// The contiguous subpath [start, start+len).
   PathId SubPath(PathId p, size_t start, size_t len);
-  /// A one-value path.
+  /// A one-value path. Lock-free for interned atoms once their slot is
+  /// filled; packed values go through InternPath.
   PathId SingletonPath(Value v);
 
   /// True iff the path contains no packed value at any nesting depth.
@@ -141,40 +146,51 @@ class Universe {
   // select the shard (chosen by contents hash, so equal paths always land
   // in the same shard), the remaining bits are the append-only index into
   // that shard's storage. Storage is a sequence of geometrically growing
-  // blocks (block b holds kPathFirstBlockSize << b entries); blocks are
-  // never moved or freed until destruction, and block pointers are
-  // published with release stores, so GetPath resolves ids with two loads
-  // and no lock. kEmptyPath (id 0 = shard 0, index 0) is pre-registered at
-  // construction.
+  // blocks (block b holds BlockCapacity(b) entries); blocks are never
+  // moved or freed until destruction, and block pointers are published
+  // with release stores, so GetPath resolves ids with two loads and no
+  // lock. kEmptyPath (id 0 = shard 0, index 0) is pre-registered at
+  // construction. The per-atom singleton slots use the same block layout.
   static constexpr uint32_t kPathShardBits = 4;
   static constexpr uint32_t kPathShards = 1u << kPathShardBits;
-  static constexpr uint32_t kPathFirstBlockBits = 10;
+  static constexpr uint32_t kFirstBlockBits = 10;
   /// Enough blocks that kMaxPathsPerShard is the binding limit: blocks
   /// 0..17 hold 1024 * (2^18 - 1) > 2^27 entries.
-  static constexpr uint32_t kPathMaxBlocks = 18;
+  static constexpr uint32_t kMaxBlocks = 18;
   /// PathIds must fit Value's 31-bit payload: per-shard index < 2^27.
   static constexpr uint32_t kMaxPathsPerShard = 1u << 27;
+  /// Atoms with a singleton slot: everything kMaxBlocks blocks hold.
+  static constexpr uint32_t kMaxAtoms = ((1u << kMaxBlocks) - 1)
+                                        << kFirstBlockBits;
+  static constexpr uint32_t kIndexInitialSlots = 64;
 
-  struct PathKeyHash {
-    size_t operator()(const std::vector<Value>& p) const;
+  /// One hash-cons index slot: a path's contents hash (the bits above the
+  /// shard selector) and its PathId + 1; id_plus_one == 0 marks a free
+  /// slot.
+  struct IndexSlot {
+    uint32_t hash = 0;
+    uint32_t id_plus_one = 0;
   };
   struct PathShard {
     std::mutex mu;
-    /// Contents -> full PathId (shard already encoded in the low bits).
-    std::unordered_map<std::vector<Value>, PathId, PathKeyHash> ids;
+    /// Open-addressed (linear probing) index over the stored paths;
+    /// power-of-two size, kept at most half full. Guarded by mu.
+    std::vector<IndexSlot> index;
     /// Number of paths stored; guarded by mu.
     uint32_t size = 0;
     /// size, republished for lock-free num_paths().
     std::atomic<uint32_t> published_size{0};
-    /// blocks[b] holds kPathFirstBlockSize << b entries (release-published).
-    std::array<std::atomic<std::vector<Value>*>, kPathMaxBlocks> blocks{};
+    /// blocks[b] holds BlockCapacity(b) entries (release-published).
+    std::array<std::atomic<std::vector<Value>*>, kMaxBlocks> blocks{};
 
     ~PathShard();
   };
 
-  static uint32_t PathBlockOf(uint32_t local);
-  static uint32_t PathOffsetOf(uint32_t local, uint32_t block);
-  static uint32_t PathBlockCapacity(uint32_t block);
+  static uint32_t BlockOf(uint32_t local);
+  static uint32_t OffsetOf(uint32_t local, uint32_t block);
+  static uint32_t BlockCapacity(uint32_t block);
+  /// Doubles `s`'s index and reinserts every slot; the caller holds s.mu.
+  static void GrowIndex(PathShard& s);
 
   // Unlocked variants; the caller holds the corresponding mutex.
   AtomId InternAtomLocked(std::string_view name);
@@ -189,6 +205,10 @@ class Universe {
 
   mutable std::shared_mutex atom_mu_;
   std::deque<std::string> atom_names_;
+  /// Per-AtomId singleton path, kEmptyPath until SingletonPath first
+  /// interns it. Blocks are allocated under atom_mu_ as atoms are interned
+  /// and release-published; slots are read and filled without a lock.
+  std::array<std::atomic<std::atomic<PathId>*>, kMaxBlocks> singleton_blocks_{};
   std::unordered_map<std::string, AtomId> atom_ids_;
   uint32_t fresh_atom_counter_ = 0;
 

@@ -6,6 +6,7 @@
 // worker threads only record what they saw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -147,6 +148,54 @@ TEST(UniverseConcurrencyTest, AtomVarRelInterningStress) {
   EXPECT_EQ(u.num_atoms(), 50u);
   EXPECT_EQ(u.num_vars(), 20u);
   EXPECT_EQ(u.num_rels(), 10u);
+}
+
+TEST(UniverseConcurrencyTest, SingletonAndInternPathRacesAgree) {
+  Universe u;
+  // Half the atoms exist before the threads start (their singleton slots
+  // still unset); the threads intern the other half while racing, so
+  // slot blocks are published while other threads read slots.
+  constexpr size_t kAtoms = 3000;
+  for (size_t i = 0; i < kAtoms / 2; ++i) {
+    u.InternAtom("s" + std::to_string(i));
+  }
+  const size_t paths_before = u.num_paths();
+  std::vector<std::vector<PathId>> singles(kThreads), pairs(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < kAtoms; ++k) {
+        // Threads walk the atoms from different starting points.
+        size_t i = (k + t * 97) % kAtoms;
+        Value a = Value::Atom(u.InternAtom("s" + std::to_string(i)));
+        Value b =
+            Value::Atom(u.InternAtom("s" + std::to_string((i + 1) % kAtoms)));
+        singles[t].push_back(u.SingletonPath(a));
+        const Value pair[] = {a, b};
+        pairs[t].push_back(u.InternPath(pair));
+      }
+      // Index by atom, not by visit order, for the comparison below.
+      std::rotate(singles[t].begin(),
+                  singles[t].end() - static_cast<long>((t * 97) % kAtoms),
+                  singles[t].end());
+      std::rotate(pairs[t].begin(),
+                  pairs[t].end() - static_cast<long>((t * 97) % kAtoms),
+                  pairs[t].end());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(singles[t], singles[0]);
+    EXPECT_EQ(pairs[t], pairs[0]);
+  }
+  for (size_t i = 0; i < kAtoms; ++i) {
+    Value a = Value::Atom(u.InternAtom("s" + std::to_string(i)));
+    EXPECT_EQ(u.InternPath({&a, 1}), singles[0][i]);
+    ASSERT_EQ(u.GetPath(pairs[0][i]).size(), 2u);
+    EXPECT_EQ(u.GetPath(pairs[0][i])[0], a);
+  }
+  // One singleton and one pair per atom, however the races went.
+  EXPECT_EQ(u.num_paths(), paths_before + 2 * kAtoms);
 }
 
 // --- Database/Session --------------------------------------------------------

@@ -14,7 +14,10 @@
 //   * Session::Run over a Database (shared pre-indexed base, derived
 //     overlay only);
 //   * Database::Compile — the selectivity-aware planner fed by measured
-//     Database::Stats().
+//     Database::Stats() and, in inlined-facts cases (a random subset of
+//     the EDB relations moved into the program as ground fact rules, the
+//     way Example 2.1 inlines its automaton), by the compiler's own
+//     measurement of those facts.
 //
 // The paper's expressiveness results assume evaluation is invariant under
 // how a rule body is matched; this harness is what lets the planner be
@@ -79,6 +82,9 @@ class CaseGenerator {
   /// Some rule negates a stratum-1 IDB relation (subset of
   /// multi_stratum() cases).
   bool negates_idb() const { return negates_idb_; }
+  /// Some EDB relations' facts were moved into the program as ground
+  /// fact rules.
+  bool inlined_facts() const { return inlined_facts_; }
 
   RandomCase Generate() {
     packing_ = Pick(2) == 0;
@@ -168,6 +174,53 @@ class CaseGenerator {
             GenerateRule(atoms, positive, idb2, idb2, negatable));
       }
       c.program.strata.push_back(std::move(second));
+    }
+
+    // Inlined facts (about a third of the cases, drawn last so the other
+    // cases keep their programs): move a random non-empty proper subset of
+    // the EDB relations into the program as ground fact rules. They join the
+    // first stratum, as Example 2.1's automaton does, unless a rule there
+    // negates them; then they get a stratum of their own below it.
+    inlined_facts_ = Pick(3) == 0;
+    if (inlined_facts_) {
+      Stratum facts;
+      std::vector<RelId> kept;
+      // The largest relation always stays, so the ingest and retraction
+      // differentials still have facts to split, and one other always
+      // moves.
+      size_t stays = 0;
+      for (size_t i = 1; i < edb.size(); ++i) {
+        if (c.input.Tuples(edb[i]).size() > c.input.Tuples(edb[stays]).size()) {
+          stays = i;
+        }
+      }
+      const size_t moved = (stays + 1 + Pick(edb.size() - 1)) % edb.size();
+      for (size_t i = 0; i < edb.size(); ++i) {
+        RelId rel = edb[i];
+        if (i == stays || (i != moved && Pick(2) == 0)) {
+          kept.push_back(rel);
+          continue;
+        }
+        bool negated_in_first = false;
+        for (const Rule& r : c.program.strata[0].rules) {
+          for (const Literal& l : r.body) {
+            negated_in_first |=
+                l.is_predicate() && l.negated && l.pred.rel == rel;
+          }
+        }
+        std::vector<Rule>& into =
+            negated_in_first ? facts.rules : c.program.strata[0].rules;
+        for (const Tuple& t : c.input.Tuples(rel)) {
+          Rule fact;
+          fact.head.rel = rel;
+          for (PathId p : t) fact.head.args.push_back(ExprOfPath(u_, p));
+          into.push_back(std::move(fact));
+        }
+      }
+      c.input = c.input.Project(kept);
+      if (!facts.rules.empty()) {
+        c.program.strata.insert(c.program.strata.begin(), std::move(facts));
+      }
     }
     return c;
   }
@@ -307,6 +360,8 @@ class CaseGenerator {
   bool multi_stratum_ = false;
   /// Some stratum-2 rule negates a stratum-1 IDB relation.
   bool negates_idb_ = false;
+  /// EDB facts moved into the program (set per Generate()).
+  bool inlined_facts_ = false;
   std::vector<RelId> edb_rels_;
 };
 
@@ -322,11 +377,13 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
   size_t iterations = Iterations();
   size_t compared = 0, skipped = 0, packed_cases = 0;
   size_t multi_stratum_cases = 0, idb_negation_cases = 0;
+  size_t inlined_cases = 0;
   for (uint64_t seed = 1; seed <= iterations; ++seed) {
     Universe u;
     CaseGenerator gen(u, seed);
     RandomCase c = gen.Generate();
     if (gen.packing()) ++packed_cases;
+    if (gen.inlined_facts()) ++inlined_cases;
     if (gen.multi_stratum()) ++multi_stratum_cases;
     if (gen.negates_idb()) ++idb_negation_cases;
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
@@ -409,6 +466,10 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
   EXPECT_GE(idb_negation_cases * 40, iterations)
       << idb_negation_cases << " of " << iterations
       << " seeds negated a stratum-1 IDB relation";
+  // And the inlined-facts mode, whose plans seed statistics from the
+  // program's own facts.
+  EXPECT_GE(inlined_cases * 5, iterations)
+      << inlined_cases << " of " << iterations << " seeds inlined facts";
 }
 
 // Program-scoped statistics: Database::Compile plans from

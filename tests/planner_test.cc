@@ -371,5 +371,83 @@ TEST(SelectivityPlannerTest, ExplainPlanReportsChosenKeys) {
   EXPECT_TRUE(found);
 }
 
+// Example 2.1 with its automaton inlined as program facts. Column 1 of D
+// (the letter) is more selective than column 0 (the state): 4 letters vs
+// 2 source states over 6 transitions.
+constexpr char kInlinedNfa[] =
+    "N(q0).\n"
+    "D(q0, a, q0). D(q0, b, q0). D(q0, c, q0). D(q0, d, q0).\n"
+    "D(q0, a, q1). D(q1, b, q2).\n"
+    "F(q2).\n"
+    "S(@q ++ $x, eps) <- R($x), N(@q).\n"
+    "S(@q2 ++ $y, $z ++ @a) <- S(@q1 ++ @a ++ $y, $z), D(@q1, @a, @q2).\n"
+    "A($x) <- S(@q, $x), F(@q).\n";
+
+// The first `scan` step line after `header` in an ExplainPlan() rendering.
+std::string StepAfter(const std::string& explain, const std::string& header,
+                      const std::string& scan) {
+  size_t at = explain.find(header);
+  if (at != std::string::npos) at = explain.find(scan, at);
+  if (at == std::string::npos) return "";
+  return explain.substr(at, explain.find('\n', at) - at);
+}
+
+TEST(SelectivityPlannerTest, InlinedFactsPlanFromTheirOwnStatistics) {
+  Universe u;
+  Program p = MustParse(u, kInlinedNfa);
+  Instance in = MustInstance(u, "R(a ++ b). R(c ++ a ++ b ++ d). R(d ++ d).");
+  Result<Database> db = Database::Open(u, in);
+  ASSERT_TRUE(db.ok());
+
+  // With statistics, the delta rounds' S-first variant of the recursive
+  // rule probes D on the letter column, chosen from the facts' measured
+  // buckets (mean 1.5 vs 3.0).
+  Result<PreparedProgram> planned = db->Compile(p);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(StepAfter(planned->ExplainPlan(), "delta S (literal 0)", "scan D"),
+            "scan D: whole-value key col 1, est 1.50 [stats]")
+      << planned->ExplainPlan();
+
+  // Without statistics the legacy heuristic keys the first ground column.
+  Result<PreparedProgram> legacy = Engine::Compile(u, p);
+  ASSERT_TRUE(legacy.ok());
+  EXPECT_EQ(StepAfter(legacy->ExplainPlan(), "delta S (literal 0)", "scan D"),
+            "scan D: whole-value key col 0")
+      << legacy->ExplainPlan();
+
+  // Both plans accept the same words.
+  Result<Instance> fast = db->OpenSession().Run(*planned);
+  Result<Instance> slow = db->OpenSession().Run(*legacy);
+  ASSERT_TRUE(fast.ok());
+  ASSERT_TRUE(slow.ok());
+  EXPECT_EQ(*fast, *slow);
+  RelId a = *u.FindRel("A");
+  EXPECT_EQ(fast->Project({a}).ToString(u), "A(a·b).\n");
+}
+
+TEST(SelectivityPlannerTest, OnlyFactDefinedUnknownRelationsAreSeeded) {
+  Universe u;
+  Program p = MustParse(u,
+                        "N(q0).\n"
+                        "N(@q) <- D(@p, @a, @q).\n"
+                        "D(q0, a, q1). D(q1, b, q2).\n"
+                        "F(q2). F(q1).\n"
+                        "G(<q0 ++ a>).\n"
+                        "Z <- G(<q0 ++ @a>), F(q1).\n");
+  RelId n = *u.FindRel("N"), d = *u.FindRel("D"), f = *u.FindRel("F"),
+        g = *u.FindRel("G"), z = *u.FindRel("Z");
+  // F is already measured (say, from the EDB): its estimate stays.
+  StoreStats stats = ComputeInstanceStats(u, MustInstance(u, "F(q7)."));
+  AddProgramFactStats(u, p, &stats);
+  EXPECT_FALSE(stats.Knows(n));  // a fact and a rule
+  EXPECT_FALSE(stats.Knows(z));  // a rule
+  ASSERT_TRUE(stats.Knows(d));
+  EXPECT_EQ(stats.relations.at(d).tuples, 2u);
+  EXPECT_DOUBLE_EQ(stats.EstimateWhole(d, 1), 1.0);
+  EXPECT_EQ(stats.relations.at(f).tuples, 1u);
+  ASSERT_TRUE(stats.Knows(g));  // packed ground facts count too
+  EXPECT_EQ(stats.relations.at(g).tuples, 1u);
+}
+
 }  // namespace
 }  // namespace seqdl

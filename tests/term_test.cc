@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "src/term/universe.h"
 #include "src/term/value.h"
 
@@ -163,6 +168,77 @@ TEST(UniverseTest, PathOfWords) {
   PathId p = u.PathOfWords("open  pay close");
   EXPECT_EQ(u.PathLength(p), 3u);
   EXPECT_EQ(u.FormatPath(p), "open·pay·close");
+}
+
+TEST(UniverseTest, SingletonPathEqualsInternPath) {
+  Universe u;
+  Value early = Value::Atom(u.InternAtom("early"));
+  PathId abc = u.PathOfChars("abc");
+  Value late = Value::Atom(u.InternAtom("late"));
+  Value fresh = Value::Atom(u.FreshAtom("f"));
+  for (Value v : {early, late, fresh}) {
+    EXPECT_EQ(u.SingletonPath(v), u.InternPath({&v, 1}));
+    EXPECT_EQ(u.SingletonPath(v), u.InternPath({&v, 1}));
+  }
+  // InternPath first, then the singleton slot.
+  Value other = Value::Atom(u.FreshAtom("g"));
+  PathId interned = u.InternPath({&other, 1});
+  EXPECT_EQ(u.SingletonPath(other), interned);
+  // Atoms of an already interned path, and packed values.
+  Value a = u.GetPath(abc)[0];
+  EXPECT_EQ(u.SingletonPath(a), u.SubPath(abc, 0, 1));
+  Value packed = Value::Packed(abc);
+  EXPECT_EQ(u.SingletonPath(packed), u.InternPath({&packed, 1}));
+  EXPECT_EQ(u.FormatPath(u.SingletonPath(fresh)), u.AtomName(fresh.atom()));
+}
+
+TEST(UniverseTest, SingletonPathInternsExactlyOnePath) {
+  Universe u;
+  Value x = Value::Atom(u.InternAtom("x"));
+  const size_t before = u.num_paths();
+  PathId p = u.SingletonPath(x);
+  EXPECT_EQ(u.num_paths(), before + 1);
+  EXPECT_EQ(u.SingletonPath(x), p);
+  EXPECT_EQ(u.InternPath({&x, 1}), p);
+  EXPECT_EQ(u.num_paths(), before + 1);
+  // The other order: an InternPath miss, then a singleton hit.
+  Value y = Value::Atom(u.FreshAtom("y"));
+  PathId q = u.InternPath({&y, 1});
+  EXPECT_EQ(u.num_paths(), before + 2);
+  EXPECT_EQ(u.SingletonPath(y), q);
+  EXPECT_EQ(u.num_paths(), before + 2);
+}
+
+TEST(UniverseTest, ManyPathsRoundTripAcrossIndexGrowth) {
+  Universe u;
+  constexpr size_t kAtoms = 64;
+  constexpr size_t kPaths = 300'000;
+  std::vector<Value> atoms;
+  for (size_t i = 0; i < kAtoms; ++i) {
+    atoms.push_back(Value::Atom(u.InternAtom("a" + std::to_string(i))));
+  }
+  // Path i spells i in base kAtoms, least significant digit first, then a
+  // digit-count marker, so every i gives distinct contents.
+  auto path_of = [&](size_t i) {
+    std::vector<Value> out;
+    for (size_t n = i; n > 0; n /= kAtoms) out.push_back(atoms[n % kAtoms]);
+    out.push_back(atoms[out.size()]);
+    return out;
+  };
+  std::vector<PathId> ids;
+  ids.reserve(kPaths);
+  for (size_t i = 0; i < kPaths; ++i) ids.push_back(u.InternPath(path_of(i)));
+  EXPECT_EQ(u.num_paths(), kPaths + 1);  // + the empty path
+  for (size_t i = 0; i < kPaths; ++i) {
+    std::vector<Value> want = path_of(i);
+    std::span<const Value> got = u.GetPath(ids[i]);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "path " << i;
+    // Ids handed out before the index grew still resolve and re-intern
+    // to themselves.
+    ASSERT_EQ(u.InternPath(want), ids[i]) << "path " << i;
+  }
+  EXPECT_EQ(u.num_paths(), kPaths + 1);
 }
 
 }  // namespace
