@@ -7,6 +7,7 @@
 
 #include "src/analysis/locality.h"
 #include "src/engine/database.h"
+#include "src/server/service.h"
 #include "src/syntax/ast.h"
 #include "src/syntax/parser.h"
 #include "src/syntax/printer.h"
@@ -29,52 +30,6 @@ bool LooksLikeTransportFailure(const Status& st) {
   return has("cannot connect") || has("send failed") || has("recv failed") ||
          has("connection closed") || has("truncated frame") ||
          has("oversized frame") || has("client is closed");
-}
-
-protocol::WireDiagnostic ToWire(const Diagnostic& d) {
-  protocol::WireDiagnostic w;
-  w.severity = static_cast<uint8_t>(d.severity);
-  w.code = d.code;
-  w.line = static_cast<uint32_t>(d.span.line);
-  w.col = static_cast<uint32_t>(d.span.col);
-  w.end_line = static_cast<uint32_t>(d.span.end_line);
-  w.end_col = static_cast<uint32_t>(d.span.end_col);
-  w.message = d.message;
-  w.notes = d.notes;
-  return w;
-}
-
-protocol::WireEvalStats ToWire(const EvalStats& s) {
-  protocol::WireEvalStats w;
-  w.derived_facts = s.derived_facts;
-  w.rounds = s.rounds;
-  w.rule_firings = s.rule_firings;
-  w.index_probes = s.index_probes;
-  w.prefix_probes = s.prefix_probes;
-  w.suffix_probes = s.suffix_probes;
-  w.full_scans = s.full_scans;
-  w.delta_scans = s.delta_scans;
-  w.delta_index_probes = s.delta_index_probes;
-  w.compile_seconds = s.compile_seconds;
-  w.run_seconds = s.run_seconds;
-  return w;
-}
-
-/// Shard counters sum; wall times take the max — the shards ran in
-/// parallel, so the slowest one is the cluster's wall time.
-void Accumulate(protocol::WireEvalStats* into,
-                const protocol::WireEvalStats& s) {
-  into->derived_facts += s.derived_facts;
-  into->rounds = std::max(into->rounds, s.rounds);
-  into->rule_firings += s.rule_firings;
-  into->index_probes += s.index_probes;
-  into->prefix_probes += s.prefix_probes;
-  into->suffix_probes += s.suffix_probes;
-  into->full_scans += s.full_scans;
-  into->delta_scans += s.delta_scans;
-  into->delta_index_probes += s.delta_index_probes;
-  into->compile_seconds = std::max(into->compile_seconds, s.compile_seconds);
-  into->run_seconds = std::max(into->run_seconds, s.run_seconds);
 }
 
 /// The residual path's shard-side query: one copy rule per EDB relation
@@ -107,7 +62,10 @@ Result<Program> BuildDumpProgram(
     Predicate body;
     body.rel = rel;
     for (uint32_t i = 0; i < arity; ++i) {
-      VarId v = u.InternVar(VarKind::kPath, "d" + std::to_string(i));
+      // Not `"d" + std::to_string(i)`: GCC 12 flags that with a false
+      // -Wrestrict positive here.
+      VarId v = u.InternVar(VarKind::kPath,
+                            std::string("d").append(std::to_string(i)));
       PathExpr e = VarExpr(u, v);
       r.head.args.push_back(e);
       body.args.push_back(e);
@@ -359,7 +317,7 @@ Result<protocol::RunReply> Coordinator::RunTransparent(
     pinned_epochs->push_back(r.epoch);
     out.epoch += r.epoch;
     out.segments += r.segments;
-    Accumulate(&out.stats, r.stats);
+    MergeCounters(&out.stats, r.stats);
     // Shard answers are Instance::ToString renderings; re-parsing into
     // the coordinator's universe and unioning dedupes the overlap
     // (broadcast-derived facts appear on every shard) with set
@@ -428,7 +386,7 @@ Result<protocol::RunReply> Coordinator::RunResidual(
   SEQDL_ASSIGN_OR_RETURN(Instance derived, session.Run(prepared, ropts,
                                                        &stats));
   SEQDL_ASSIGN_OR_RETURN(out.rendered, Render(derived, req.output_rel));
-  out.stats = ToWire(stats);
+  out.stats = stats;
   return out;
 }
 
@@ -511,12 +469,7 @@ Result<protocol::AppendReply> Coordinator::Append(
     const protocol::AppendReply& r = *results[i];
     UpdateEpoch(i, r.db.epoch);
     out.appended += r.appended;
-    out.db.epoch += r.db.epoch;
-    out.db.segments += r.db.segments;
-    out.db.facts += r.db.facts;
-    out.db.on_disk_bytes += r.db.on_disk_bytes;
-    out.db.wal_bytes += r.db.wal_bytes;
-    out.db.manifest_generation += r.db.manifest_generation;
+    MergeCounters(&out.db, r.db);
   }
   return out;
 }
@@ -584,12 +537,7 @@ Result<protocol::RetractReply> Coordinator::Retract(
     const protocol::RetractReply& r = *results[i];
     UpdateEpoch(i, r.db.epoch);
     out.retracted += r.retracted;
-    out.db.epoch += r.db.epoch;
-    out.db.segments += r.db.segments;
-    out.db.facts += r.db.facts;
-    out.db.on_disk_bytes += r.db.on_disk_bytes;
-    out.db.wal_bytes += r.db.wal_bytes;
-    out.db.manifest_generation += r.db.manifest_generation;
+    MergeCounters(&out.db, r.db);
   }
   return out;
 }
@@ -603,12 +551,7 @@ Result<protocol::DbInfo> Coordinator::Info() {
   for (size_t i = 0; i < results.size(); ++i) {
     const protocol::DbInfo& r = *results[i];
     UpdateEpoch(i, r.epoch);
-    out.epoch += r.epoch;
-    out.segments += r.segments;
-    out.facts += r.facts;
-    out.on_disk_bytes += r.on_disk_bytes;
-    out.wal_bytes += r.wal_bytes;
-    out.manifest_generation += r.manifest_generation;
+    MergeCounters(&out, r);
   }
   return out;
 }
@@ -623,12 +566,7 @@ Result<protocol::CompactReply> Coordinator::Compact() {
     const protocol::CompactReply& r = *results[i];
     UpdateEpoch(i, r.db.epoch);
     out.folded = out.folded || r.folded;
-    out.db.epoch += r.db.epoch;
-    out.db.segments += r.db.segments;
-    out.db.facts += r.db.facts;
-    out.db.on_disk_bytes += r.db.on_disk_bytes;
-    out.db.wal_bytes += r.db.wal_bytes;
-    out.db.manifest_generation += r.db.manifest_generation;
+    MergeCounters(&out.db, r.db);
   }
   return out;
 }
@@ -643,16 +581,8 @@ Result<protocol::StatsReply> Coordinator::Stats() {
     const protocol::StatsReply& r = *results[i];
     out.rendered += "-- shard " + shards_[i]->addr.ToString() + " --\n";
     out.rendered += r.rendered;
-    out.cache_hits += r.cache_hits;
-    out.cache_misses += r.cache_misses;
-    out.cache_evictions += r.cache_evictions;
-    out.cache_entries += r.cache_entries;
-    out.cache_bytes += r.cache_bytes;
-    out.view_hits += r.view_hits;
-    out.view_cold_runs += r.view_cold_runs;
-    out.view_delta_refreshes += r.view_delta_refreshes;
-    out.view_dred_refreshes += r.view_dred_refreshes;
-    out.view_strata_recomputed += r.view_strata_recomputed;
+    MergeCounters(&out.cache, r.cache);
+    MergeCounters(&out.views, r.views);
   }
   return out;
 }

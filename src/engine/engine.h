@@ -36,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/counters.h"
 #include "src/base/status.h"
 #include "src/engine/instance.h"
 #include "src/engine/plan.h"
@@ -144,48 +145,10 @@ struct StratumStats {
 };
 
 /// Execution statistics, filled by PreparedProgram::Run (and the legacy
-/// Eval wrapper).
-struct EvalStats {
-  size_t derived_facts = 0;
-  size_t rounds = 0;
-  size_t rule_firings = 0;
-  /// Scans answered through a whole-value (relation, column) index probe
-  /// (the argument position was fully ground).
-  size_t index_probes = 0;
-  /// Scans answered through a first-value index probe (only a leading
-  /// prefix of the argument was ground).
-  size_t prefix_probes = 0;
-  /// Scans answered through a last-value index probe (only a trailing
-  /// suffix of the argument was ground, e.g. `$x ++ a`).
-  size_t suffix_probes = 0;
-  /// Scans that fell back to a full relation scan (no ground key position,
-  /// an empty ground prefix/suffix, or use_index = false).
-  size_t full_scans = 0;
-  /// Scans over per-round delta sets (semi-naive iteration).
-  size_t delta_scans = 0;
-  /// Delta scans answered through a per-round delta index (the delta held
-  /// at least RunOptions::delta_index_threshold tuples and the step had a
-  /// ground key). Subset of delta_scans.
-  size_t delta_index_probes = 0;
-  /// Net changed facts of the delta segments (additions plus retractions)
-  /// that seeded a RunDelta's first delta pass (0 on full runs).
-  size_t delta_seed_facts = 0;
-  /// Strata a RunDelta maintained incrementally (delta passes over the
-  /// stored view, plus DRed deletion on shrink epochs) vs recomputed
-  /// wholesale (negation over a changed input). Both 0 on full runs.
-  size_t strata_delta_maintained = 0;
-  size_t strata_recomputed = 0;
-  /// DRed deletion-phase counters (0 on full runs and growth-only
-  /// deltas): support decrements applied, stored tuples whose support hit
-  /// zero and were provisionally deleted, and how many of those the
-  /// re-derivation pass rescued.
-  size_t dred_decrements = 0;
-  size_t dred_over_deleted = 0;
-  size_t dred_re_derived = 0;
-  /// Wall time Engine::Compile spent validating + planning the program.
-  double compile_seconds = 0;
-  /// Wall time of this run.
-  double run_seconds = 0;
+/// Eval wrapper): the scalar counters of the EvalCounters table
+/// (src/base/counters.h documents each), plus per-run detail that does
+/// not cross the wire.
+struct EvalStats : EvalCounters {
   /// One entry per stratum, in program order.
   std::vector<StratumStats> per_stratum;
   /// The planner's access-path decision per scan step, one line each

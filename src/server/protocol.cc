@@ -139,52 +139,27 @@ std::string ReplyHead(MsgType orig_type, const Status& status) {
   return payload;
 }
 
-void PutDbInfo(std::string* out, const DbInfo& info) {
-  PutU64(out, info.epoch);
-  PutU64(out, info.segments);
-  PutU64(out, info.facts);
-  PutU64(out, info.on_disk_bytes);
-  PutU64(out, info.wal_bytes);
-  PutU64(out, info.manifest_generation);
+void PutNumber(std::string* out, uint64_t v) { PutU64(out, v); }
+void PutNumber(std::string* out, double v) { PutF64(out, v); }
+Status ReadNumber(WireReader* r, uint64_t* v) { return r->ReadU64(v); }
+Status ReadNumber(WireReader* r, double* v) { return r->ReadF64(v); }
+
+/// A counter family (src/base/counters.h) as fixed-width fields in table
+/// order.
+template <typename T>
+void PutCounters(std::string* out, const T& counters) {
+  ForEachCounter<T>([&](const auto& field) {
+    PutNumber(out, counters.*field.member);
+  });
 }
 
-Status ReadDbInfo(WireReader* r, DbInfo* info) {
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->epoch));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->segments));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->facts));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->on_disk_bytes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->wal_bytes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->manifest_generation));
-  return Status::OK();
-}
-
-void PutEvalStats(std::string* out, const WireEvalStats& s) {
-  PutU64(out, s.derived_facts);
-  PutU64(out, s.rounds);
-  PutU64(out, s.rule_firings);
-  PutU64(out, s.index_probes);
-  PutU64(out, s.prefix_probes);
-  PutU64(out, s.suffix_probes);
-  PutU64(out, s.full_scans);
-  PutU64(out, s.delta_scans);
-  PutU64(out, s.delta_index_probes);
-  PutF64(out, s.compile_seconds);
-  PutF64(out, s.run_seconds);
-}
-
-Status ReadEvalStats(WireReader* r, WireEvalStats* s) {
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->derived_facts));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->rounds));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->rule_firings));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->index_probes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->prefix_probes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->suffix_probes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->full_scans));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->delta_scans));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->delta_index_probes));
-  SEQDL_RETURN_IF_ERROR(r->ReadF64(&s->compile_seconds));
-  SEQDL_RETURN_IF_ERROR(r->ReadF64(&s->run_seconds));
-  return Status::OK();
+template <typename T>
+Status ReadCounters(WireReader* r, T* counters) {
+  Status status;
+  ForEachCounter<T>([&](const auto& field) {
+    if (status.ok()) status = ReadNumber(r, &(counters->*field.member));
+  });
+  return status;
 }
 
 void PutDiagnostics(std::string* out,
@@ -320,50 +295,42 @@ std::string EncodeRunReply(const RunReply& reply) {
   PutU64(&payload, reply.segments);
   PutU8(&payload, reply.result_cached ? 1 : 0);
   PutString(&payload, reply.rendered);
-  PutEvalStats(&payload, reply.stats);
+  PutCounters(&payload, reply.stats);
   return Frame(std::move(payload));
 }
 
 std::string EncodeAppendReply(const AppendReply& reply) {
   std::string payload = ReplyHead(MsgType::kAppend, Status::OK());
   PutU64(&payload, reply.appended);
-  PutDbInfo(&payload, reply.db);
+  PutCounters(&payload, reply.db);
   return Frame(std::move(payload));
 }
 
 std::string EncodeRetractReply(const RetractReply& reply) {
   std::string payload = ReplyHead(MsgType::kRetract, Status::OK());
   PutU64(&payload, reply.retracted);
-  PutDbInfo(&payload, reply.db);
+  PutCounters(&payload, reply.db);
   return Frame(std::move(payload));
 }
 
 std::string EncodeEpochReply(const DbInfo& info) {
   std::string payload = ReplyHead(MsgType::kEpoch, Status::OK());
-  PutDbInfo(&payload, info);
+  PutCounters(&payload, info);
   return Frame(std::move(payload));
 }
 
 std::string EncodeCompactReply(const CompactReply& reply) {
   std::string payload = ReplyHead(MsgType::kCompact, Status::OK());
   PutU8(&payload, reply.folded ? 1 : 0);
-  PutDbInfo(&payload, reply.db);
+  PutCounters(&payload, reply.db);
   return Frame(std::move(payload));
 }
 
 std::string EncodeStatsReply(const StatsReply& reply) {
   std::string payload = ReplyHead(MsgType::kStats, Status::OK());
   PutString(&payload, reply.rendered);
-  PutU64(&payload, reply.cache_hits);
-  PutU64(&payload, reply.cache_misses);
-  PutU64(&payload, reply.cache_evictions);
-  PutU64(&payload, reply.cache_entries);
-  PutU64(&payload, reply.cache_bytes);
-  PutU64(&payload, reply.view_hits);
-  PutU64(&payload, reply.view_cold_runs);
-  PutU64(&payload, reply.view_delta_refreshes);
-  PutU64(&payload, reply.view_dred_refreshes);
-  PutU64(&payload, reply.view_strata_recomputed);
+  PutCounters(&payload, reply.cache);
+  PutCounters(&payload, reply.views);
   return Frame(std::move(payload));
 }
 
@@ -459,35 +426,27 @@ Result<Reply> DecodeReply(std::string_view payload) {
       SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.run.segments));
       SEQDL_RETURN_IF_ERROR(r.ReadBool(&reply.run.result_cached));
       SEQDL_RETURN_IF_ERROR(r.ReadString(&reply.run.rendered));
-      SEQDL_RETURN_IF_ERROR(ReadEvalStats(&r, &reply.run.stats));
+      SEQDL_RETURN_IF_ERROR(ReadCounters(&r, &reply.run.stats));
       break;
     case MsgType::kAppend:
       SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.append.appended));
-      SEQDL_RETURN_IF_ERROR(ReadDbInfo(&r, &reply.append.db));
+      SEQDL_RETURN_IF_ERROR(ReadCounters(&r, &reply.append.db));
       break;
     case MsgType::kRetract:
       SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.retract.retracted));
-      SEQDL_RETURN_IF_ERROR(ReadDbInfo(&r, &reply.retract.db));
+      SEQDL_RETURN_IF_ERROR(ReadCounters(&r, &reply.retract.db));
       break;
     case MsgType::kEpoch:
-      SEQDL_RETURN_IF_ERROR(ReadDbInfo(&r, &reply.info));
+      SEQDL_RETURN_IF_ERROR(ReadCounters(&r, &reply.info));
       break;
     case MsgType::kCompact:
       SEQDL_RETURN_IF_ERROR(r.ReadBool(&reply.compact.folded));
-      SEQDL_RETURN_IF_ERROR(ReadDbInfo(&r, &reply.compact.db));
+      SEQDL_RETURN_IF_ERROR(ReadCounters(&r, &reply.compact.db));
       break;
     case MsgType::kStats:
       SEQDL_RETURN_IF_ERROR(r.ReadString(&reply.stats.rendered));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_hits));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_misses));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_evictions));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_entries));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_bytes));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_hits));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_cold_runs));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_delta_refreshes));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_dred_refreshes));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_strata_recomputed));
+      SEQDL_RETURN_IF_ERROR(ReadCounters(&r, &reply.stats.cache));
+      SEQDL_RETURN_IF_ERROR(ReadCounters(&r, &reply.stats.views));
       break;
     case MsgType::kHello:
       SEQDL_RETURN_IF_ERROR(r.ReadU32(&reply.hello.wire_version));

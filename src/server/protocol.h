@@ -13,10 +13,11 @@
 //
 // All integers are little-endian and fixed width; strings are a u32
 // length followed by raw bytes; doubles travel as the IEEE-754 bit
-// pattern in a u64. A frame whose declared length exceeds the receiver's
-// limit (kDefaultMaxFrameBytes unless configured) is an *oversized
-// frame*: the server answers with an error reply and closes the
-// connection. A connection that ends mid-frame is a *truncated frame*
+// pattern in a u64. A counter struct (DbInfo below, the families in
+// src/base/counters.h) travels as its table's fields in table order. A
+// frame whose declared length exceeds the receiver's limit
+// (kDefaultMaxFrameBytes unless configured) is an *oversized frame*: the
+// server answers with an error reply and closes the connection. A connection that ends mid-frame is a *truncated frame*
 // (kInvalidArgument); a connection that ends cleanly between frames is
 // reported as kNotFound by ReadFrame so callers can tell orderly
 // disconnect from corruption.
@@ -58,6 +59,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/base/counters.h"
 #include "src/base/status.h"
 
 struct sockaddr_in;
@@ -86,7 +88,8 @@ enum class MsgType : uint8_t {
 /// Version of the frame/message encoding described above. Bumped on any
 /// incompatible change; exchanged via kHello so mismatched peers fail
 /// with a structured error instead of misdecoding each other's frames.
-constexpr uint32_t kWireVersion = 1;
+/// Version 2: run replies carry every EvalStats counter.
+constexpr uint32_t kWireVersion = 2;
 
 /// "compile" / "run" / ... for logs and errors.
 const char* MsgTypeToString(MsgType type);
@@ -136,35 +139,27 @@ struct HelloRequest {
 // --- Reply bodies -----------------------------------------------------------
 
 /// epoch/segments/facts of the server database (kEpoch reply; embedded in
-/// append/compact replies), plus the durability counters — all zero when
-/// the server database is in-memory (no --data-dir).
+/// append/retract/compact replies), plus the durability counters — all
+/// zero when the server database is in-memory (no --data-dir). A
+/// coordinator sums every field across its shards.
+#define SEQDL_DB_INFO(X)                                              \
+  X(uint64_t, epoch, kSum)                                            \
+  X(uint64_t, segments, kSum)                                         \
+  X(uint64_t, facts, kSum)                                            \
+  /* Sealed segment files + manifest on disk (excludes the WAL). */   \
+  X(uint64_t, on_disk_bytes, kSum)                                    \
+  X(uint64_t, wal_bytes, kSum)                                        \
+  /* Manifest generation (bumps at every checkpoint/compaction); 0    \
+     for an in-memory database. */                                    \
+  X(uint64_t, manifest_generation, kSum)
+
 struct DbInfo {
-  uint64_t epoch = 0;
-  uint64_t segments = 0;
-  uint64_t facts = 0;
-  /// Sealed segment files + manifest on disk (excludes the WAL).
-  uint64_t on_disk_bytes = 0;
-  uint64_t wal_bytes = 0;
-  /// Manifest generation (bumps at every checkpoint/compaction); 0 for
-  /// an in-memory database.
-  uint64_t manifest_generation = 0;
+  SEQDL_COUNTER_STRUCT(DbInfo, SEQDL_DB_INFO)
 };
 
-/// The EvalStats counters that cross the wire (stats.h has the engine-side
-/// struct; wall times travel as seconds).
-struct WireEvalStats {
-  uint64_t derived_facts = 0;
-  uint64_t rounds = 0;
-  uint64_t rule_firings = 0;
-  uint64_t index_probes = 0;
-  uint64_t prefix_probes = 0;
-  uint64_t suffix_probes = 0;
-  uint64_t full_scans = 0;
-  uint64_t delta_scans = 0;
-  uint64_t delta_index_probes = 0;
-  double compile_seconds = 0;
-  double run_seconds = 0;
-};
+/// A run's counters on the wire: the engine's own EvalStats scalars,
+/// every one of them, in table order (wall times travel as seconds).
+using WireEvalStats = EvalCounters;
 
 /// One analyzer finding crossing the wire (analysis/diagnostics.h
 /// Diagnostic, flattened: severity 0=error 1=warning 2=note; a line of 0
@@ -239,18 +234,10 @@ struct HelloReply {
 struct StatsReply {
   /// StoreStats::ToString of the server database's measured statistics.
   std::string rendered;
-  /// Result/view cache traffic and occupancy (service.h CacheCounters).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_entries = 0;
-  uint64_t cache_bytes = 0;
-  /// Maintained-view counters (view.h ViewManager::Counters).
-  uint64_t view_hits = 0;
-  uint64_t view_cold_runs = 0;
-  uint64_t view_delta_refreshes = 0;
-  uint64_t view_dred_refreshes = 0;
-  uint64_t view_strata_recomputed = 0;
+  /// Result/view cache traffic and occupancy (service.h CacheStats).
+  CacheCounters cache;
+  /// Maintained-view refresh outcomes (view.h ViewManager::counters).
+  ViewCounters views;
 };
 
 /// One decoded request frame: the type tag plus the matching body (only

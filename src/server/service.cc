@@ -13,24 +13,6 @@
 
 namespace seqdl {
 
-namespace {
-
-protocol::WireEvalStats ToWire(const EvalStats& s) {
-  protocol::WireEvalStats w;
-  w.derived_facts = s.derived_facts;
-  w.rounds = s.rounds;
-  w.rule_firings = s.rule_firings;
-  w.index_probes = s.index_probes;
-  w.prefix_probes = s.prefix_probes;
-  w.suffix_probes = s.suffix_probes;
-  w.full_scans = s.full_scans;
-  w.delta_scans = s.delta_scans;
-  w.delta_index_probes = s.delta_index_probes;
-  w.compile_seconds = s.compile_seconds;
-  w.run_seconds = s.run_seconds;
-  return w;
-}
-
 protocol::WireDiagnostic ToWire(const Diagnostic& d) {
   protocol::WireDiagnostic w;
   w.severity = static_cast<uint8_t>(d.severity);
@@ -43,8 +25,6 @@ protocol::WireDiagnostic ToWire(const Diagnostic& d) {
   w.notes = d.notes;
   return w;
 }
-
-}  // namespace
 
 DatabaseService::DatabaseService(Universe& u, Database db, ServiceOptions opts)
     : u_(&u), db_(std::move(db)), opts_(std::move(opts)) {}
@@ -163,7 +143,7 @@ Result<protocol::RunReply> DatabaseService::Run(
     reply.epoch = view->epoch();
     reply.segments = view->segments();
     SEQDL_ASSIGN_OR_RETURN(reply.rendered, Render(view->idb(), req.output_rel));
-    reply.stats = ToWire(stats);
+    reply.stats = stats;
   } else {
     // Views off: epoch-pinned session run, rendered output cached only.
     Session session = db_.Snapshot();
@@ -173,7 +153,7 @@ Result<protocol::RunReply> DatabaseService::Run(
     reply.epoch = session.epoch();
     reply.segments = session.NumSegments();
     SEQDL_ASSIGN_OR_RETURN(reply.rendered, Render(derived, req.output_rel));
-    reply.stats = ToWire(stats);
+    reply.stats = stats;
   }
 
   std::lock_guard<std::mutex> lock(results_mu_);
@@ -199,7 +179,7 @@ Result<protocol::RunReply> DatabaseService::RunUncached(
   reply.epoch = session.epoch();
   reply.segments = session.NumSegments();
   SEQDL_ASSIGN_OR_RETURN(reply.rendered, Render(derived, req.output_rel));
-  reply.stats = ToWire(stats);
+  reply.stats = stats;
   return reply;
 }
 
@@ -363,7 +343,7 @@ void DatabaseService::RefreshCachedViews() {
     e.view = *view;
     e.epoch = (*view)->epoch();
     e.segments = (*view)->segments();
-    e.stats = ToWire(stats);
+    e.stats = stats;
     e.bytes = (*view)->ApproxBytes();
     cache_bytes_used_ += e.bytes;
     EvictLocked(key);
@@ -391,21 +371,7 @@ Result<protocol::CompactReply> DatabaseService::Compact() {
 }
 
 protocol::StatsReply DatabaseService::Stats() const {
-  protocol::StatsReply reply;
-  reply.rendered = db_.Stats().ToString(*u_);
-  CacheCounters cache = CacheStats();
-  reply.cache_hits = cache.hits;
-  reply.cache_misses = cache.misses;
-  reply.cache_evictions = cache.evictions;
-  reply.cache_entries = cache.entries;
-  reply.cache_bytes = cache.bytes;
-  ViewManager::Counters views = db_.views().counters();
-  reply.view_hits = views.hits;
-  reply.view_cold_runs = views.cold_runs;
-  reply.view_delta_refreshes = views.delta_refreshes;
-  reply.view_dred_refreshes = views.dred_refreshes;
-  reply.view_strata_recomputed = views.strata_recomputed;
-  return reply;
+  return {db_.Stats().ToString(*u_), CacheStats(), db_.views().counters()};
 }
 
 size_t DatabaseService::NumCachedPrograms() const {

@@ -118,15 +118,9 @@ struct ServiceOptions {
   RunOptions generative_budget = DefaultGenerativeBudget();
 };
 
-/// Occupancy and lifetime traffic counters of the result/view cache,
-/// rendered into Stats() replies.
-struct CacheCounters {
-  uint64_t hits = 0;        ///< runs answered from a cached rendering
-  uint64_t misses = 0;      ///< runs that had to evaluate or render
-  uint64_t evictions = 0;   ///< entries evicted past the byte/entry caps
-  uint64_t entries = 0;     ///< programs currently cached
-  uint64_t bytes = 0;       ///< accounted bytes currently cached
-};
+/// An analyzer finding flattened for a compile reply (shared with the
+/// cluster coordinator's compile broadcast).
+protocol::WireDiagnostic ToWire(const Diagnostic& d);
 
 /// The request handlers of a seqdl server, over an owned Database.
 class DatabaseService {

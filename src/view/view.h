@@ -71,6 +71,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/base/counters.h"
 #include "src/base/status.h"
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
@@ -118,22 +119,9 @@ class ViewSnapshot {
 /// (heap-stable in its DbState); obtain via Database::views().
 class ViewManager {
  public:
-  struct Counters {
-    /// Refresh found the stored snapshot already at the current epoch.
-    uint64_t hits = 0;
-    /// Full materializations (first Refresh of a key, or after
-    /// Invalidate).
-    uint64_t cold_runs = 0;
-    /// Incremental refreshes (RunDelta over the segments published
-    /// since).
-    uint64_t delta_refreshes = 0;
-    /// The subset of delta_refreshes whose window contained a tombstone
-    /// segment — the DRed deletion/re-derivation machinery ran.
-    uint64_t dred_refreshes = 0;
-    /// Strata recomputed wholesale inside those delta refreshes (0 when
-    /// every stratum was maintainable).
-    uint64_t strata_recomputed = 0;
-  };
+  /// Refresh outcomes; the ViewCounters table (src/base/counters.h)
+  /// documents each.
+  using Counters = ViewCounters;
 
   /// The current snapshot for `key`, materializing or delta-refreshing
   /// as needed: a stored snapshot at the current epoch is returned as

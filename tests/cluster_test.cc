@@ -18,6 +18,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -41,6 +42,7 @@
 #include "src/server/service.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
+#include "tests/counter_testing.h"
 
 namespace seqdl {
 namespace {
@@ -503,6 +505,69 @@ TEST(ClusterTest, RetractionsRouteAndRecount) {
   Result<protocol::DbInfo> info = t.coord->Info();
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->facts, 2u);
+}
+
+// --- Cross-shard counter merge ------------------------------------------------
+
+// Every entry of T's table merges by its merge column: the fields named
+// in `max_fields` take the larger side (in either merge order), every
+// other field sums.
+template <typename T>
+void ExpectMergeFollowsTable(const std::set<std::string>& max_fields) {
+  const T a = DistinctCounters<T>(1);
+  const T b = DistinctCounters<T>(1000, -7);
+  T ab = a;
+  MergeCounters(&ab, b);
+  T ba = b;
+  MergeCounters(&ba, a);
+  ForEachCounter<T>([&](const auto& field) {
+    const auto x = a.*field.member;
+    const auto y = b.*field.member;
+    const bool is_max = max_fields.count(field.name) > 0;
+    EXPECT_EQ(field.merge, is_max ? CounterMerge::kMax : CounterMerge::kSum)
+        << field.name;
+    EXPECT_EQ(ab.*field.member, is_max ? std::max(x, y) : x + y)
+        << field.name;
+    EXPECT_EQ(ba.*field.member, ab.*field.member) << field.name;
+  });
+}
+
+TEST(ClusterTest, RepliesMergeByEachTablesMergeColumn) {
+  ExpectMergeFollowsTable<protocol::WireEvalStats>(
+      {"rounds", "compile_seconds", "run_seconds"});
+  ExpectMergeFollowsTable<CacheCounters>({});
+  ExpectMergeFollowsTable<ViewCounters>({});
+  ExpectMergeFollowsTable<protocol::DbInfo>({});
+}
+
+TEST(ClusterTest, StatsSumTheShardsOwnCounters) {
+  TestCluster t = TestCluster::Start(2);
+  ASSERT_TRUE(t.Append("E(a, b). E(b, c). E(c, d). F(a, x). F(b, y).").ok());
+  ASSERT_TRUE(t.Run(kKeyedJoin).ok());
+  ASSERT_TRUE(t.Run(kReachProgram).ok());
+  ASSERT_TRUE(t.Append("E(d, e).").ok());
+  ASSERT_TRUE(t.Run(kKeyedJoin).ok());
+
+  Result<protocol::StatsReply> merged = t.coord->Stats();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  CacheCounters cache;
+  ViewCounters views;
+  for (TestShard& shard : t.shards) {
+    protocol::StatsReply own = shard.service->Stats();
+    ForEachCounter<CacheCounters>([&](const auto& field) {
+      cache.*field.member += own.cache.*field.member;
+    });
+    ForEachCounter<ViewCounters>([&](const auto& field) {
+      views.*field.member += own.views.*field.member;
+    });
+    EXPECT_NE(merged->rendered.find("-- shard 127.0.0.1:" +
+                                    std::to_string(shard.port()) + " --"),
+              std::string::npos);
+  }
+  EXPECT_GT(cache.misses, 0u);
+  EXPECT_GT(views.cold_runs, 0u);
+  ExpectCountersEqual(merged->cache, cache);
+  ExpectCountersEqual(merged->views, views);
 }
 
 TEST(ClusterTest, ResultCacheServesUnchangedEpochVector) {

@@ -235,11 +235,15 @@ class CaseGenerator {
     return false;
   }
 
+  // Not `"p" + std::to_string(i)`: GCC 12 flags that with a false
+  // -Wrestrict positive once inlined into the generators below.
   VarId PathVar(size_t i) {
-    return u_.InternVar(VarKind::kPath, "p" + std::to_string(i));
+    return u_.InternVar(VarKind::kPath,
+                        std::string("p").append(std::to_string(i)));
   }
   VarId AtomVar(size_t i) {
-    return u_.InternVar(VarKind::kAtomic, "a" + std::to_string(i));
+    return u_.InternVar(VarKind::kAtomic,
+                        std::string("a").append(std::to_string(i)));
   }
 
   ExprItem RandomItem(const std::vector<AtomId>& atoms) {

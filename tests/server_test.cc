@@ -30,6 +30,7 @@
 #include "src/server/service.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
+#include "tests/counter_testing.h"
 
 namespace seqdl {
 namespace {
@@ -188,10 +189,11 @@ TEST(ProtocolTest, ErrorReplyCarriesStatusAndNoBody) {
 }
 
 TEST(ProtocolTest, TruncatedPayloadsAreRejectedAtEveryLength) {
-  protocol::RunRequest run;
-  run.program = "S($x) <- R($x).";
-  run.source_name = "q.sdl";
-  run.output_rel = "S";
+  // Constructed, not assigned field by field: GCC 12 reports a false
+  // -Wrestrict positive on `run.output_rel = "S"` here.
+  const protocol::RunRequest run{.program = "S($x) <- R($x).",
+                                 .source_name = "q.sdl",
+                                 .output_rel = "S"};
   std::string payload = Payload(protocol::EncodeRunRequest(run));
   // Every strict prefix must fail decoding — never crash, never
   // misparse. (The frame layer reports mid-frame EOF separately.)
@@ -200,6 +202,50 @@ TEST(ProtocolTest, TruncatedPayloadsAreRejectedAtEveryLength) {
         protocol::DecodeRequest(payload.substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "prefix of length " << len << " decoded";
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Every counter of every family crosses the wire in every reply that
+// carries it: each field gets a distinct non-zero value through its
+// table, so a dropped, swapped or mis-typed field fails by name. Every
+// strict prefix of a counter-carrying reply is rejected, never misread.
+TEST(ProtocolTest, EveryCounterRoundTripsThroughItsTable) {
+  protocol::RunReply run;
+  run.rendered = "S(a).\n";
+  run.stats = DistinctCounters<protocol::WireEvalStats>(1);
+  protocol::StatsReply stats;
+  stats.rendered = "R  col 0  whole  buckets=1\n";
+  stats.cache = DistinctCounters<CacheCounters>(101);
+  stats.views = DistinctCounters<ViewCounters>(201);
+  const protocol::DbInfo info = DistinctCounters<protocol::DbInfo>(301);
+  auto decode = [](const std::string& frame) {
+    Result<protocol::Reply> decoded = protocol::DecodeReply(Payload(frame));
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    return decoded.ok() ? *decoded : protocol::Reply();
+  };
+
+  ExpectCountersEqual(decode(protocol::EncodeRunReply(run)).run.stats,
+                      run.stats);
+  protocol::Reply reply = decode(protocol::EncodeStatsReply(stats));
+  ExpectCountersEqual(reply.stats.cache, stats.cache);
+  ExpectCountersEqual(reply.stats.views, stats.views);
+  ExpectCountersEqual(decode(protocol::EncodeEpochReply(info)).info, info);
+  ExpectCountersEqual(
+      decode(protocol::EncodeAppendReply({.db = info})).append.db, info);
+  ExpectCountersEqual(
+      decode(protocol::EncodeRetractReply({.db = info})).retract.db, info);
+  ExpectCountersEqual(
+      decode(protocol::EncodeCompactReply({.db = info})).compact.db, info);
+
+  for (const std::string& frame : {protocol::EncodeRunReply(run),
+                                   protocol::EncodeStatsReply(stats)}) {
+    std::string payload = Payload(frame);
+    for (size_t len = 0; len < payload.size(); ++len) {
+      Result<protocol::Reply> decoded =
+          protocol::DecodeReply(payload.substr(0, len));
+      ASSERT_FALSE(decoded.ok()) << "prefix of length " << len << " decoded";
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
   }
 }
 
@@ -789,30 +835,19 @@ TEST(ServiceCacheTest, CountersTravelInStatsReplies) {
   ASSERT_TRUE(service.Run(ReqFor(kProgA)).ok());
   ASSERT_TRUE(service.Run(ReqFor(kProgA)).ok());  // hit
   protocol::StatsReply stats = service.Stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_entries, 1u);
-  EXPECT_GT(stats.cache_bytes, 0u);
-  EXPECT_EQ(stats.view_cold_runs, 1u);
+  EXPECT_EQ(stats.cache.hits, 1u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.cache.entries, 1u);
+  EXPECT_GT(stats.cache.bytes, 0u);
+  EXPECT_EQ(stats.views.cold_runs, 1u);
 
   // And they survive the wire: encode → decode is lossless.
   Result<protocol::Reply> decoded = protocol::DecodeReply(
       Payload(protocol::EncodeStatsReply(stats)));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->stats.rendered, stats.rendered);
-  EXPECT_EQ(decoded->stats.cache_hits, stats.cache_hits);
-  EXPECT_EQ(decoded->stats.cache_misses, stats.cache_misses);
-  EXPECT_EQ(decoded->stats.cache_evictions, stats.cache_evictions);
-  EXPECT_EQ(decoded->stats.cache_entries, stats.cache_entries);
-  EXPECT_EQ(decoded->stats.cache_bytes, stats.cache_bytes);
-  EXPECT_EQ(decoded->stats.view_hits, stats.view_hits);
-  EXPECT_EQ(decoded->stats.view_cold_runs, stats.view_cold_runs);
-  EXPECT_EQ(decoded->stats.view_delta_refreshes,
-            stats.view_delta_refreshes);
-  EXPECT_EQ(decoded->stats.view_dred_refreshes,
-            stats.view_dred_refreshes);
-  EXPECT_EQ(decoded->stats.view_strata_recomputed,
-            stats.view_strata_recomputed);
+  ExpectCountersEqual(decoded->stats.cache, stats.cache);
+  ExpectCountersEqual(decoded->stats.views, stats.views);
 }
 
 TEST(ServiceCacheTest, RetractRefreshesViewsThroughDRed) {
@@ -863,6 +898,66 @@ TEST(ServiceCacheTest, RetractRefreshesViewsThroughDRed) {
   EXPECT_EQ(rr->retracted, 0u);
   EXPECT_EQ(rr->db.epoch, 1u);
   EXPECT_EQ(service.db().views().counters().dred_refreshes, 1u);
+}
+
+// Run replies carry the view-maintenance counters of the refresh that
+// brought the served view to the reply's epoch — the same values an
+// in-process ViewManager::Refresh reports for the same epochs.
+TEST(ServerTest, RunRepliesCarryDeltaAndDRedCounters) {
+  // A cycle plus the chord a -> c: retracting the chord over-deletes
+  // R(a, c) and re-derivation rescues it around the cycle.
+  const std::string edb = "E(a, b). E(b, c). E(c, a). E(a, c).";
+  TestServer t = TestServer::Start(edb);
+  Result<Client> client = t.Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  Universe u;
+  Result<Instance> oracle_edb = ParseInstance(u, edb);
+  ASSERT_TRUE(oracle_edb.ok());
+  Result<Database> db = Database::Open(u, std::move(*oracle_edb));
+  ASSERT_TRUE(db.ok());
+  Result<Program> program = ParseProgram(u, kReachProgram);
+  ASSERT_TRUE(program.ok());
+  Result<PreparedProgram> prog = db->Compile(std::move(*program));
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  auto refresh = [&] {
+    EvalStats stats;
+    EXPECT_TRUE(db->views().Refresh("reach", *prog, {}, &stats).ok());
+    return stats;
+  };
+  auto expect_same = [](const protocol::WireEvalStats& wire,
+                        const EvalStats& local) {
+    EXPECT_EQ(wire.delta_seed_facts, local.delta_seed_facts);
+    EXPECT_EQ(wire.strata_delta_maintained, local.strata_delta_maintained);
+    EXPECT_EQ(wire.strata_recomputed, local.strata_recomputed);
+    EXPECT_EQ(wire.dred_decrements, local.dred_decrements);
+    EXPECT_EQ(wire.dred_over_deleted, local.dred_over_deleted);
+    EXPECT_EQ(wire.dred_re_derived, local.dred_re_derived);
+  };
+
+  ASSERT_TRUE(client->Run(kReachProgram).ok());
+  refresh();
+
+  ASSERT_TRUE(client->Append("E(c, d).").ok());
+  ASSERT_TRUE(db->Append(*ParseInstance(u, "E(c, d).")).ok());
+  Result<protocol::RunReply> grown = client->Run(kReachProgram);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_EQ(grown->epoch, 1u);
+  EvalStats local = refresh();
+  EXPECT_GT(grown->stats.delta_seed_facts, 0u);
+  EXPECT_GT(grown->stats.strata_delta_maintained, 0u);
+  expect_same(grown->stats, local);
+
+  ASSERT_TRUE(client->Retract("E(a, c).").ok());
+  ASSERT_TRUE(db->Retract(*ParseInstance(u, "E(a, c).")).ok());
+  Result<protocol::RunReply> shrunk = client->Run(kReachProgram);
+  ASSERT_TRUE(shrunk.ok()) << shrunk.status().ToString();
+  EXPECT_EQ(shrunk->epoch, 2u);
+  local = refresh();
+  EXPECT_GT(shrunk->stats.dred_decrements, 0u);
+  EXPECT_GT(shrunk->stats.dred_over_deleted, 0u);
+  EXPECT_GT(shrunk->stats.dred_re_derived, 0u);
+  expect_same(shrunk->stats, local);
 }
 
 }  // namespace

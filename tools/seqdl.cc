@@ -8,12 +8,12 @@
 //       paths by selectivity statistics measured over the instance;
 //       --legacy-planner forces the first-ground-argument heuristic.
 //       --explain prints the chosen plan (key column and scan order per
-//       rule step); --stats reports the engine's extended counters
-//       (per-stratum rounds, a per-index-family probe table, compile/run
-//       wall times). With --data-dir the program runs against a durable
-//       database (docs/storage.md): an initialized directory is
-//       recovered without re-ingesting anything (the instance argument
-//       becomes optional), a fresh one is seeded from the instance.
+//       rule step); --stats reports the engine's counters (one row per
+//       EvalStats counter, then per-stratum rounds). With --data-dir
+//       the program runs against a durable database (docs/storage.md):
+//       an initialized directory is recovered without re-ingesting
+//       anything (the instance argument becomes optional), a fresh one
+//       is seeded from the instance.
 //
 //   seqdl serve [<instance.sdl>] [--data-dir=DIR]
 //               [--sync=always|interval|never] [--stats] [--threads=N]
@@ -151,6 +151,7 @@
 #include "src/analysis/features.h"
 #include "src/analysis/lint.h"
 #include "src/analysis/safety.h"
+#include "src/base/counters.h"
 #include "src/cluster/coordinator.h"
 #include "src/cluster/frontend.h"
 #include "src/engine/database.h"
@@ -283,24 +284,17 @@ int FailStorage(const seqdl::Status& status) {
   return 1;
 }
 
-// The per-index-family scan counters as one aligned table.
-void PrintScanTable(const seqdl::EvalStats& stats) {
-  struct Row {
-    const char* name;
-    size_t count;
-  };
-  const Row rows[] = {
-      {"whole-value probes", stats.index_probes},
-      {"first-value probes", stats.prefix_probes},
-      {"last-value probes", stats.suffix_probes},
-      {"full scans", stats.full_scans},
-      {"delta scans", stats.delta_scans},
-      {"delta-indexed", stats.delta_index_probes},
-  };
-  std::fprintf(stderr, "-- %-20s %12s\n", "scan family", "count");
-  for (const Row& row : rows) {
-    std::fprintf(stderr, "-- %-20s %12zu\n", row.name, row.count);
-  }
+// The run's engine counters, one aligned row each (`--stats`).
+void PrintEvalCounters(const seqdl::EvalCounters& stats) {
+  std::fputs(seqdl::RenderCounters(stats, "-- ").c_str(), stderr);
+}
+
+// A stats reply: the rendered measurements, then the cache and view
+// counter rows.
+void PrintStatsReply(const seqdl::protocol::StatsReply& reply) {
+  std::printf("%s%s%s", reply.rendered.c_str(),
+              seqdl::RenderCounters(reply.cache, "cache.").c_str(),
+              seqdl::RenderCounters(reply.views, "views.").c_str());
 }
 
 // `seqdl run --data-dir=DIR`: evaluate against a durable database —
@@ -371,11 +365,7 @@ int RunDurable(const std::vector<std::string>& args,
                static_cast<unsigned long long>(session.epoch()),
                static_cast<unsigned long long>(sinfo.manifest_generation),
                static_cast<unsigned long long>(sinfo.on_disk_bytes));
-  if (HasFlag(args, "--stats")) {
-    PrintScanTable(stats);
-    std::fprintf(stderr, "-- compile %.3f ms, run %.3f ms\n",
-                 stats.compile_seconds * 1e3, stats.run_seconds * 1e3);
-  }
+  if (HasFlag(args, "--stats")) PrintEvalCounters(stats);
   return 0;
 }
 
@@ -445,9 +435,7 @@ int CmdRun(const std::vector<std::string>& args) {
   std::fprintf(stderr, "-- %zu facts derived in %zu rounds (%zu firings)\n",
                stats.derived_facts, stats.rounds, stats.rule_firings);
   if (HasFlag(args, "--stats")) {
-    PrintScanTable(stats);
-    std::fprintf(stderr, "-- compile %.3f ms, run %.3f ms\n",
-                 stats.compile_seconds * 1e3, stats.run_seconds * 1e3);
+    PrintEvalCounters(stats);
     for (size_t i = 0; i < stats.per_stratum.size(); ++i) {
       const seqdl::StratumStats& s = stats.per_stratum[i];
       std::fprintf(stderr,
@@ -592,21 +580,7 @@ class ServeLoop {
     // maintained-view cache's traffic.
     seqdl::protocol::StatsReply reply = service_.Stats();
     std::lock_guard<std::mutex> lock(io_mu_);
-    std::printf("%s", reply.rendered.c_str());
-    std::printf("cache: %llu hits, %llu misses, %llu evictions; "
-                "%llu entries, %llu bytes\n",
-                static_cast<unsigned long long>(reply.cache_hits),
-                static_cast<unsigned long long>(reply.cache_misses),
-                static_cast<unsigned long long>(reply.cache_evictions),
-                static_cast<unsigned long long>(reply.cache_entries),
-                static_cast<unsigned long long>(reply.cache_bytes));
-    std::printf("views: %llu hits, %llu cold runs, %llu delta refreshes "
-                "(%llu DRed, %llu strata recomputed)\n",
-                static_cast<unsigned long long>(reply.view_hits),
-                static_cast<unsigned long long>(reply.view_cold_runs),
-                static_cast<unsigned long long>(reply.view_delta_refreshes),
-                static_cast<unsigned long long>(reply.view_dred_refreshes),
-                static_cast<unsigned long long>(reply.view_strata_recomputed));
+    PrintStatsReply(reply);
     std::fflush(stdout);
   }
 
@@ -671,16 +645,8 @@ class ServeLoop {
                  stats.run_seconds * 1e3,
                  static_cast<unsigned long long>(reply->epoch));
     if (stats_on_) {
-      std::fprintf(stderr,
-                   "-- scans: %llu index, %llu prefix, %llu suffix, %llu "
-                   "full, %llu delta (%llu delta-indexed); %zu base columns "
-                   "indexed over %llu segments\n",
-                   static_cast<unsigned long long>(stats.index_probes),
-                   static_cast<unsigned long long>(stats.prefix_probes),
-                   static_cast<unsigned long long>(stats.suffix_probes),
-                   static_cast<unsigned long long>(stats.full_scans),
-                   static_cast<unsigned long long>(stats.delta_scans),
-                   static_cast<unsigned long long>(stats.delta_index_probes),
+      PrintEvalCounters(stats);
+      std::fprintf(stderr, "-- %zu base columns indexed over %llu segments\n",
                    service_.db().NumIndexedColumns(),
                    static_cast<unsigned long long>(reply->segments));
     }
@@ -1032,18 +998,7 @@ int CmdQuery(const std::vector<std::string>& args) {
                      reply->stats.derived_facts),
                  reply->stats.run_seconds * 1e3,
                  static_cast<unsigned long long>(reply->epoch));
-    if (HasFlag(args, "--stats")) {
-      const seqdl::protocol::WireEvalStats& s = reply->stats;
-      std::fprintf(stderr,
-                   "-- scans: %llu index, %llu prefix, %llu suffix, "
-                   "%llu full, %llu delta (%llu delta-indexed)\n",
-                   static_cast<unsigned long long>(s.index_probes),
-                   static_cast<unsigned long long>(s.prefix_probes),
-                   static_cast<unsigned long long>(s.suffix_probes),
-                   static_cast<unsigned long long>(s.full_scans),
-                   static_cast<unsigned long long>(s.delta_scans),
-                   static_cast<unsigned long long>(s.delta_index_probes));
-    }
+    if (HasFlag(args, "--stats")) PrintEvalCounters(reply->stats);
     return 0;
   }
   if (cmd == "compile") {
@@ -1144,22 +1099,7 @@ int CmdQuery(const std::vector<std::string>& args) {
   if (cmd == "stats") {
     auto reply = client->Stats();
     if (!reply.ok()) return Fail(reply.status());
-    std::printf("%s", reply->rendered.c_str());
-    std::printf("cache: %llu hits, %llu misses, %llu evictions; "
-                "%llu entries, %llu bytes\n",
-                static_cast<unsigned long long>(reply->cache_hits),
-                static_cast<unsigned long long>(reply->cache_misses),
-                static_cast<unsigned long long>(reply->cache_evictions),
-                static_cast<unsigned long long>(reply->cache_entries),
-                static_cast<unsigned long long>(reply->cache_bytes));
-    std::printf("views: %llu hits, %llu cold runs, %llu delta refreshes "
-                "(%llu DRed, %llu strata recomputed)\n",
-                static_cast<unsigned long long>(reply->view_hits),
-                static_cast<unsigned long long>(reply->view_cold_runs),
-                static_cast<unsigned long long>(reply->view_delta_refreshes),
-                static_cast<unsigned long long>(reply->view_dred_refreshes),
-                static_cast<unsigned long long>(
-                    reply->view_strata_recomputed));
+    PrintStatsReply(*reply);
     return 0;
   }
   if (cmd == "shutdown") {
