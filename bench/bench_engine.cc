@@ -51,7 +51,7 @@ void PrintRoundCounts() {
     gw.seed = nodes;
     Result<Instance> in = GraphToInstance(u, RandomGraph(gw), "R");
     EvalStats semi, naive;
-    EvalOptions naive_opts;
+    RunOptions naive_opts;
     naive_opts.seminaive = false;
     Result<Instance> o1 = Eval(u, q->program, *in, {}, &semi);
     Result<Instance> o2 = Eval(u, q->program, *in, naive_opts, &naive);
@@ -135,7 +135,7 @@ void PrintSelectivityPlanning() {
     Result<PreparedProgram> legacy = Engine::Compile(u, w.program);
     Result<PreparedProgram> selective = db->Compile(w.program);
     if (!legacy.ok() || !selective.ok()) std::abort();
-    Session session = db->OpenSession();
+    Session session = db->Snapshot();
     auto time_ms = [&](const PreparedProgram& prog, std::string* out) {
       Result<Instance> warm = session.Run(prog);  // index build excluded
       if (!warm.ok()) std::abort();
@@ -187,7 +187,7 @@ void PrintConcurrentThroughput() {
   if (!db.ok()) std::abort();
 
   // Warm-up builds the lazy base indexes once and fixes the reference.
-  Result<Instance> ref = db->OpenSession().Run(*prog);
+  Result<Instance> ref = db->Snapshot().Run(*prog);
   if (!ref.ok()) std::abort();
   std::string reference = ref->ToString(u);
 
@@ -199,7 +199,7 @@ void PrintConcurrentThroughput() {
     auto start = std::chrono::steady_clock::now();
     for (size_t t = 0; t < threads; ++t) {
       pool.emplace_back([&, t] {
-        Session session = db->OpenSession();
+        Session session = db->Snapshot();
         for (size_t r = 0; r < kQueriesPerThread; ++r) {
           Result<Instance> out = session.Run(*prog);
           outputs[t * kQueriesPerThread + r] =
@@ -560,7 +560,7 @@ void BM_ReachEvalOneShot(benchmark::State& state) {
     state.SkipWithError("workload setup failed");
     return;
   }
-  EvalOptions opts;
+  RunOptions opts;
   opts.use_index = false;  // the seed engine had no indexes
   for (auto _ : state) {
     Result<Instance> out = Eval(u, q->program, *in, opts);
@@ -628,7 +628,7 @@ void BM_ReachSessionRun(benchmark::State& state) {
     state.SkipWithError(db.status().ToString().c_str());
     return;
   }
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   // Build the lazy base indexes outside the timed loop.
   if (!session.Run(*prog).ok()) {
     state.SkipWithError("warm-up run failed");
@@ -660,7 +660,7 @@ void RunReachability(benchmark::State& state, bool seminaive) {
     state.SkipWithError("workload setup failed");
     return;
   }
-  EvalOptions opts;
+  RunOptions opts;
   opts.seminaive = seminaive;
   for (auto _ : state) {
     Result<Instance> out = Eval(u, q->program, *in, opts);
@@ -699,7 +699,7 @@ void RunSkewedJoin(benchmark::State& state, bool selectivity) {
     state.SkipWithError(prog.status().ToString().c_str());
     return;
   }
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   if (!session.Run(*prog).ok()) {  // build the lazy base indexes once
     state.SkipWithError("warm-up run failed");
     return;

@@ -32,17 +32,23 @@ bool StackVisible(const std::vector<std::shared_ptr<const BaseStore>>& segs,
 
 /// Materializes the visible facts of a stack: fact segments union in,
 /// tombstone segments remove (forward walk — a later fact re-appends).
+/// With `only`, just the facts of those relations are copied.
 Instance MaterializeVisible(
     const std::vector<std::shared_ptr<const BaseStore>>& segs,
-    const std::vector<SegmentKind>& kinds) {
+    const std::vector<SegmentKind>& kinds,
+    const std::vector<RelId>* only = nullptr) {
   Instance out;
   for (size_t i = 0; i < segs.size(); ++i) {
     const Instance& inst = segs[i]->instance();
     if (kinds[i] == SegmentKind::kFacts) {
-      out.UnionWith(inst);
+      if (only == nullptr) {
+        out.UnionWith(inst);
+      } else {
+        for (RelId rel : *only) out.AddAll(rel, inst.Tuples(rel));
+      }
       continue;
     }
-    for (RelId rel : inst.Relations()) {
+    for (RelId rel : only != nullptr ? *only : inst.Relations()) {
       for (const Tuple& t : inst.Tuples(rel)) {
         out.Remove(rel, t);
       }
@@ -90,7 +96,6 @@ Result<Database> Database::Open(Universe& u, Instance edb,
       size_t facts = sealed.facts.NumFacts();
       auto segment =
           std::make_shared<BaseStore>(u, std::move(sealed.facts));
-      if (opts.eager_indexes) segment->BuildAllIndexes();
       set->segments.push_back(std::move(segment));
       set->segment_epochs.push_back(sealed.stamp);
       set->segment_kinds.push_back(sealed.kind);
@@ -135,7 +140,6 @@ Result<Database> Database::Open(Universe& u, Instance edb,
 
   // Fresh open (in-memory, or initializing a new data directory).
   auto segment = std::make_shared<BaseStore>(u, std::move(edb));
-  if (opts.eager_indexes) segment->BuildAllIndexes();
   auto set = std::make_shared<SegmentSet>();
   set->epoch = 0;
   set->total_facts = segment->instance().NumFacts();
@@ -175,8 +179,6 @@ bool Database::DataDirInitialized(const std::string& dir) {
 Session Database::Snapshot() const {
   return Session(*state_->universe, state_->Current(), &state_->accum);
 }
-
-Session Database::OpenSession() const { return Snapshot(); }
 
 Writer Database::MakeWriter() { return Writer(state_.get()); }
 
@@ -219,7 +221,6 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
   if (appended != nullptr) *appended = fresh_facts;
   auto segment =
       std::make_shared<BaseStore>(*state.universe, std::move(fresh));
-  if (state.opts.eager_indexes) segment->BuildAllIndexes();
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch + 1;
@@ -293,7 +294,6 @@ Result<uint64_t> Database::RetractFrom(DbState& state, Instance victims,
   if (retracted != nullptr) *retracted = hit_facts;
   auto segment =
       std::make_shared<BaseStore>(*state.universe, std::move(hits));
-  if (state.opts.eager_indexes) segment->BuildAllIndexes();
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch + 1;
@@ -330,20 +330,8 @@ Result<uint64_t> Database::Retract(Instance victims, size_t* retracted) {
 
 bool Database::PolicyWantsCompaction(const DbState& state,
                                      const SegmentSet& set) {
-  if (set.segments.size() <= 1) return false;
-  const OpenOptions& opts = state.opts;
-  if (opts.auto_compact_segments != 0 &&
-      set.segments.size() > opts.auto_compact_segments) {
-    return true;
-  }
-  if (opts.auto_compact_tail_ratio < 1.0 && set.total_facts > 0) {
-    size_t head = set.segments.front()->instance().NumFacts();
-    double tail_ratio =
-        static_cast<double>(set.total_facts - head) /
-        static_cast<double>(set.total_facts);
-    if (tail_ratio > opts.auto_compact_tail_ratio) return true;
-  }
-  return false;
+  const size_t limit = state.opts.auto_compact_segments;
+  return limit != 0 && set.segments.size() > limit;
 }
 
 Status Database::CheckpointLocked(DbState& state, const SegmentSet& set,
@@ -373,7 +361,6 @@ Result<bool> Database::CompactLocked(DbState& state) {
       MaterializeVisible(cur->segments, cur->segment_kinds);
   auto segment =
       std::make_shared<BaseStore>(*state.universe, std::move(merged));
-  if (state.opts.eager_indexes) segment->BuildAllIndexes();
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch;  // same facts, same epoch: semantics unchanged
@@ -543,15 +530,12 @@ Result<Instance> Session::Run(const PreparedProgram& prog,
   return out;
 }
 
-Result<Instance> Session::RunQuery(const PreparedProgram& prog, RelId output,
-                                   const RunOptions& opts,
-                                   EvalStats* stats) const {
-  SEQDL_ASSIGN_OR_RETURN(Instance derived, Run(prog, opts, stats));
-  return derived.Project({output});
-}
-
 Instance Session::edb() const {
   return MaterializeVisible(pinned_->segments, pinned_->segment_kinds);
+}
+
+Instance Session::edb(const std::vector<RelId>& rels) const {
+  return MaterializeVisible(pinned_->segments, pinned_->segment_kinds, &rels);
 }
 
 Result<uint64_t> Writer::Commit() {

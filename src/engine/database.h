@@ -5,9 +5,9 @@
 // *epoch* counter (MVCC): Database::Append (or a batching Writer's
 // Commit) never mutates existing segments — it builds a new BaseStore
 // over the freshly ingested facts, dedupes them against the current
-// stack, and publishes segments+1 at epoch+1. Snapshot()/OpenSession()
-// pins the segment list of the current epoch by shared ownership, so a
-// session opened at epoch k keeps reading exactly epoch k's facts —
+// stack, and publishes segments+1 at epoch+1. Snapshot() pins the
+// segment list of the current epoch by shared ownership, so a session
+// opened at epoch k keeps reading exactly epoch k's facts —
 // byte-identical results before, during, and after any number of later
 // commits or compactions — while writers race ahead
 // (single-writer/multi-reader, TSan-enforced):
@@ -85,21 +85,11 @@ class Writer;
 class Database {
  public:
   struct OpenOptions {
-    /// Build every (relation, column) index of every segment at
-    /// Open/Append/Compact time instead of on first probe. Front-loads
-    /// the full indexing cost; with the default lazy build, each column's
-    /// indexes build on the first query that probes them (still exactly
-    /// once per segment across all sessions and threads).
-    bool eager_indexes = false;
     /// Append folds the segment stack into one merged segment once it
     /// holds more than this many segments (0 = compact manually via
     /// Compact()). Keeps read amplification bounded under sustained
     /// ingest, LSM-style.
     size_t auto_compact_segments = 0;
-    /// Append also compacts once the facts outside the first (largest)
-    /// segment exceed this fraction of all facts — the size-ratio
-    /// trigger. >= 1.0 disables the ratio trigger.
-    double auto_compact_tail_ratio = 1.0;
     /// Durability. Empty (the default) keeps the database purely in
     /// memory. Non-empty names a data directory (created if absent):
     /// commits write a CRC-framed WAL record *before* they publish,
@@ -150,10 +140,8 @@ class Database {
   /// An epoch-pinned view of the database: the returned session reads
   /// exactly the facts committed as of now, forever, regardless of later
   /// Append/Commit/Compact calls. Any number may be open at once, from
-  /// any threads. OpenSession() is the same operation under its PR 2
-  /// name.
+  /// any threads.
   Session Snapshot() const;
-  Session OpenSession() const;
 
   /// Publishes `delta` as a new immutable segment and bumps the epoch.
   /// Facts already present in the current stack are dropped (segments
@@ -193,7 +181,7 @@ class Database {
   Result<bool> Compact();
 
   /// Runs Compact() iff the OpenOptions policy says the stack is too
-  /// deep (auto_compact_segments / auto_compact_tail_ratio). Append calls
+  /// deep (auto_compact_segments). Append calls
   /// this after every publish; it is also callable directly.
   Result<bool> MaybeCompact();
 
@@ -383,11 +371,6 @@ class Session {
   Result<Instance> Run(const PreparedProgram& prog, const RunOptions& opts = {},
                        EvalStats* stats = nullptr) const;
 
-  /// Runs and projects onto a single output relation.
-  Result<Instance> RunQuery(const PreparedProgram& prog, RelId output,
-                            const RunOptions& opts = {},
-                            EvalStats* stats = nullptr) const;
-
   /// The epoch this session is pinned to.
   uint64_t epoch() const { return pinned_->epoch; }
   /// Segments backing this snapshot (compaction after the pin does not
@@ -399,6 +382,8 @@ class Session {
   /// Materializes the visible facts of the pinned stack (a copy):
   /// fact segments union in, tombstone segments remove.
   Instance edb() const;
+  /// As above, restricted to `rels`: only their facts are copied.
+  Instance edb(const std::vector<RelId>& rels) const;
 
  private:
   friend class Database;

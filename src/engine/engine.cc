@@ -1074,9 +1074,7 @@ Result<PreparedProgram> Engine::CompileShared(
     Universe& u, std::shared_ptr<const Program> p,
     const CompileOptions& opts) {
   auto start = std::chrono::steady_clock::now();
-  if (opts.validate) {
-    SEQDL_RETURN_IF_ERROR(ValidateProgram(u, *p));
-  }
+  SEQDL_RETURN_IF_ERROR(ValidateProgram(u, *p));
   PreparedProgram prep(u, std::move(p));
   PlannerOptions popts;
   popts.reorder_scans = opts.reorder_scans;
@@ -1173,10 +1171,18 @@ std::string PreparedProgram::ExplainPlan() const {
   return out;
 }
 
-Result<Instance> PreparedProgram::RunOnStack(
-    std::span<const BaseStore* const> segments,
-    std::span<const SegmentKind> kinds, const RunOptions& opts,
-    EvalStats* stats) const {
+namespace {
+
+const Instance& DerivedFacts(const Instance& idb) { return idb; }
+const Instance& DerivedFacts(const PreparedProgram::DeltaRun& run) {
+  return run.idb;
+}
+
+}  // namespace
+
+template <typename Body>
+auto PreparedProgram::Measured(const RunOptions& opts, EvalStats* stats,
+                               Body body) const {
   auto start = std::chrono::steady_clock::now();
   if (stats) {
     *stats = EvalStats{};
@@ -1184,18 +1190,21 @@ Result<Instance> PreparedProgram::RunOnStack(
     stats->plan_decisions = plan_decisions_;
   }
   internal::Executor exec(*universe_, *this, opts, stats);
-  Result<Instance> out = exec.Run(segments, kinds);
+  auto out = body(exec);
   if (stats && opts.collect_derived_stats && out.ok()) {
-    stats->derived_stats = ComputeInstanceStats(*universe_, *out);
+    stats->derived_stats = ComputeInstanceStats(*universe_, DerivedFacts(*out));
   }
   if (stats) stats->run_seconds = SecondsSince(start);
   return out;
 }
 
-Result<Instance> PreparedProgram::RunOnSegments(
-    std::span<const BaseStore* const> segments, const RunOptions& opts,
+Result<Instance> PreparedProgram::RunOnStack(
+    std::span<const BaseStore* const> segments,
+    std::span<const SegmentKind> kinds, const RunOptions& opts,
     EvalStats* stats) const {
-  return RunOnStack(segments, {}, opts, stats);
+  return Measured(opts, stats, [&](internal::Executor& exec) {
+    return exec.Run(segments, kinds);
+  });
 }
 
 Result<PreparedProgram::DeltaRun> PreparedProgram::RunDelta(
@@ -1203,48 +1212,24 @@ Result<PreparedProgram::DeltaRun> PreparedProgram::RunDelta(
     std::span<const SegmentKind> kinds, size_t base_prefix,
     const Instance& view, const SupportLookup& stored_support,
     const RunOptions& opts, EvalStats* stats) const {
-  auto start = std::chrono::steady_clock::now();
-  if (stats) {
-    *stats = EvalStats{};
-    stats->compile_seconds = compile_seconds_;
-    stats->plan_decisions = plan_decisions_;
-  }
-  internal::Executor exec(*universe_, *this, opts, stats);
-  Result<DeltaRun> out =
-      exec.RunDelta(segments, kinds, base_prefix, view, stored_support);
-  if (stats && opts.collect_derived_stats && out.ok()) {
-    stats->derived_stats = ComputeInstanceStats(*universe_, out->idb);
-  }
-  if (stats) stats->run_seconds = SecondsSince(start);
-  return out;
-}
-
-Result<Instance> PreparedProgram::RunOnBase(const BaseStore& base,
-                                            const RunOptions& opts,
-                                            EvalStats* stats) const {
-  const BaseStore* segment = &base;
-  return RunOnSegments({&segment, 1}, opts, stats);
+  return Measured(opts, stats, [&](internal::Executor& exec) {
+    return exec.RunDelta(segments, kinds, base_prefix, view, stored_support);
+  });
 }
 
 Result<Instance> PreparedProgram::Run(const Instance& input,
                                       const RunOptions& opts,
                                       EvalStats* stats) const {
-  // Legacy semantics (input plus derived facts) over the layered engine:
-  // wrap the input in a throwaway base, run, and union the derived overlay
-  // back into the input copy the base holds.
+  // Input plus derived facts over the layered engine: wrap the input in a
+  // throwaway base, run, and union the derived overlay back into the
+  // input copy the base holds.
   BaseStore base(*universe_, input);
-  SEQDL_ASSIGN_OR_RETURN(Instance derived, RunOnBase(base, opts, stats));
+  const BaseStore* segment = &base;
+  SEQDL_ASSIGN_OR_RETURN(Instance derived,
+                         RunOnStack({&segment, 1}, {}, opts, stats));
   Instance out = base.TakeInstance();
   out.UnionWith(std::move(derived));
   return out;
-}
-
-Result<Instance> PreparedProgram::RunQuery(const Instance& input,
-                                           RelId output,
-                                           const RunOptions& opts,
-                                           EvalStats* stats) const {
-  SEQDL_ASSIGN_OR_RETURN(Instance full, Run(input, opts, stats));
-  return full.Project({output});
 }
 
 }  // namespace seqdl

@@ -22,8 +22,8 @@
 // shared BaseStore of input facts underneath, a private IDB overlay on
 // top. Run(input) builds a throwaway base per call; the Database/Session
 // API (database.h) shares one pre-indexed base across any number of
-// concurrent runs. The legacy one-shot Eval()/EvalQuery() entry points in
-// eval.h are thin wrappers over this API.
+// concurrent runs. The one-shot Eval()/EvalQuery() helpers in eval.h
+// compile and Run in one call.
 #ifndef SEQDL_ENGINE_ENGINE_H_
 #define SEQDL_ENGINE_ENGINE_H_
 
@@ -80,10 +80,9 @@ using SupportCounts = std::map<RelId, std::unordered_map<Tuple, uint32_t, TupleH
 /// re-derivation decide), the classic DRed behaviour.
 using SupportLookup = std::function<uint32_t(RelId, const Tuple&)>;
 
-/// Options fixed at compilation time.
+/// Options fixed at compilation time (Compile always validates safety
+/// and stratification first).
 struct CompileOptions {
-  /// Validate safety/stratification before planning.
-  bool validate = true;
   /// Greedily reorder positive body scans so each joins on already-bound
   /// variables where possible; false = scan in body order.
   bool reorder_scans = true;
@@ -144,10 +143,9 @@ struct StratumStats {
   size_t derived_facts = 0;
 };
 
-/// Execution statistics, filled by PreparedProgram::Run (and the legacy
-/// Eval wrapper): the scalar counters of the EvalCounters table
-/// (src/base/counters.h documents each), plus per-run detail that does
-/// not cross the wire.
+/// Execution statistics, filled by every PreparedProgram run: the scalar
+/// counters of the EvalCounters table (src/base/counters.h documents
+/// each), plus per-run detail that does not cross the wire.
 struct EvalStats : EvalCounters {
   /// One entry per stratum, in program order.
   std::vector<StratumStats> per_stratum;
@@ -182,12 +180,6 @@ class PreparedProgram {
   /// runs, see Database/Session in database.h.
   Result<Instance> Run(const Instance& input, const RunOptions& opts = {},
                        EvalStats* stats = nullptr) const;
-
-  /// Runs and projects onto a single output relation (the paper's notion
-  /// of a program computing a query from Γ to S).
-  Result<Instance> RunQuery(const Instance& input, RelId output,
-                            const RunOptions& opts = {},
-                            EvalStats* stats = nullptr) const;
 
   /// Result of RunDelta: the complete derived IDB at the post-update
   /// epoch, which strata could not be maintained incrementally, and the
@@ -289,19 +281,20 @@ class PreparedProgram {
   /// overlay. `kinds` marks each segment as facts or tombstones (parallel
   /// to `segments`; empty = all facts): tombstoned facts are invisible —
   /// enumeration and membership respect the newest-occurrence rule (see
-  /// LayeredStore in index.h). The engine of Session::Run and of Run
-  /// above (which wraps `input` in a throwaway single-segment base and
-  /// unions the result back).
+  /// LayeredStore in index.h). The engine of Session::Run, of the
+  /// view subsystem's cold runs and of Run above (which wraps `input` in
+  /// a throwaway single-segment base and unions the result back).
   Result<Instance> RunOnStack(std::span<const BaseStore* const> segments,
                               std::span<const SegmentKind> kinds,
                               const RunOptions& opts, EvalStats* stats) const;
-  /// All-fact-segments convenience.
-  Result<Instance> RunOnSegments(std::span<const BaseStore* const> segments,
-                                 const RunOptions& opts,
-                                 EvalStats* stats) const;
-  /// Single-segment convenience.
-  Result<Instance> RunOnBase(const BaseStore& base, const RunOptions& opts,
-                             EvalStats* stats) const;
+
+  /// The bookkeeping RunOnStack and RunDelta share around their executor
+  /// call `body(executor)`: resets `*stats` (if non-null) to this
+  /// program's compile-time fields, then measures the derived facts
+  /// (under RunOptions::collect_derived_stats) and the wall time.
+  /// Defined and instantiated in engine.cc only.
+  template <typename Body>
+  auto Measured(const RunOptions& opts, EvalStats* stats, Body body) const;
 
   PreparedProgram(Universe& u, std::shared_ptr<const Program> p)
       : universe_(&u), program_(std::move(p)) {}
@@ -328,7 +321,7 @@ class Engine {
   /// As Compile, but borrows `p` instead of taking ownership: the caller
   /// must keep `p` alive and unchanged for the PreparedProgram's
   /// lifetime. Avoids copying the program AST when it already outlives
-  /// the prepared program (the one-shot Eval wrapper, long-lived program
+  /// the prepared program (the one-shot Eval helper, long-lived program
   /// registries).
   static Result<PreparedProgram> CompileBorrowed(
       Universe& u, const Program& p, const CompileOptions& opts = {});

@@ -1,17 +1,14 @@
-// Legacy one-shot evaluation entry points.
+// One-shot evaluation helpers.
 //
-// Eval()/EvalQuery() validate, plan, and execute in a single call. They
-// are thin wrappers over the compile-once/run-many API in engine.h
-// (Engine::Compile + PreparedProgram::Run), which itself runs over a
-// throwaway indexed base store per call; prefer that API whenever a
-// program is evaluated against more than one instance, since it pays the
+// Eval()/EvalQuery() compile a program and run it once. Prefer
+// Engine::Compile + PreparedProgram::Run (engine.h) whenever a program is
+// evaluated against more than one instance, since it pays the
 // validation/stratification/planning cost exactly once — and see
 // database.h (Database::Open + Session) to also pay the input indexing
-// cost exactly once across many runs and threads.
+// cost exactly once across many runs and threads. To compile with
+// non-default CompileOptions, call Engine::Compile directly.
 #ifndef SEQDL_ENGINE_EVAL_H_
 #define SEQDL_ENGINE_EVAL_H_
-
-#include <cstddef>
 
 #include "src/base/status.h"
 #include "src/engine/engine.h"
@@ -21,40 +18,24 @@
 
 namespace seqdl {
 
-/// One-shot evaluation options: the union of CompileOptions and
-/// RunOptions (see engine.h).
-struct EvalOptions {
-  /// Maximum number of derived facts before giving up.
-  size_t max_facts = 5'000'000;
-  /// Maximum number of fixpoint rounds across all strata.
-  size_t max_iterations = 1'000'000;
-  /// Maximum length of any derived path.
-  size_t max_path_length = 1'000'000;
-  /// Use semi-naive (delta) iteration; false = naive re-evaluation.
-  bool seminaive = true;
-  /// Greedily reorder positive body scans so each joins on already-bound
-  /// variables where possible; false = scan in body order.
-  bool reorder_scans = true;
-  /// Validate safety/stratification before evaluating.
-  bool validate = true;
-  /// Probe column indexes for scans with a ground key position.
-  bool use_index = true;
-  /// Index semi-naive delta sets once they hold at least this many tuples
-  /// (see RunOptions::delta_index_threshold).
-  size_t delta_index_threshold = 32;
-};
-
 /// Evaluates `p` on `input`; returns input plus all derived IDB facts.
 /// Compiles the program on every call; see engine.h to compile once.
-Result<Instance> Eval(Universe& u, const Program& p, const Instance& input,
-                      const EvalOptions& opts = {},
-                      EvalStats* stats = nullptr);
+inline Result<Instance> Eval(Universe& u, const Program& p,
+                             const Instance& input,
+                             const RunOptions& opts = {},
+                             EvalStats* stats = nullptr) {
+  SEQDL_ASSIGN_OR_RETURN(PreparedProgram prog, Engine::CompileBorrowed(u, p));
+  return prog.Run(input, opts, stats);
+}
 
 /// Evaluates and projects onto a single output relation (the paper's notion
 /// of a program computing a query from Γ to S).
-Result<Instance> EvalQuery(Universe& u, const Program& p,
-                           const Instance& input, RelId output,
-                           const EvalOptions& opts = {});
+inline Result<Instance> EvalQuery(Universe& u, const Program& p,
+                                  const Instance& input, RelId output,
+                                  const RunOptions& opts = {}) {
+  SEQDL_ASSIGN_OR_RETURN(Instance full, Eval(u, p, input, opts));
+  return full.Project({output});
+}
 
 }  // namespace seqdl
 

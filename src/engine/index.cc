@@ -237,14 +237,6 @@ const std::vector<const Tuple*>& BaseStore::ProbeLast(RelId rel, uint32_t col,
   return FindBucket(slot->last, last);
 }
 
-void BaseStore::BuildAllIndexes() const {
-  for (const auto& [rel, cols] : slots_) {
-    for (uint32_t col = 0; col < cols.size(); ++col) {
-      Build(rel, cols[col], col);
-    }
-  }
-}
-
 const StoreStats& BaseStore::Stats() const {
   std::call_once(stats_once_, [&] {
     stats_ = ComputeInstanceStats(*universe_, edb_);

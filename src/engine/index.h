@@ -158,10 +158,6 @@ class BaseStore {
   const std::vector<const Tuple*>& ProbeLast(RelId rel, uint32_t col,
                                              Value last) const;
 
-  /// Builds every (relation, column) index now instead of on first probe
-  /// (Database::OpenOptions::eager_indexes).
-  void BuildAllIndexes() const;
-
   /// Number of (relation, column) columns whose indexes have been built.
   size_t NumIndexedColumns() const;
 

@@ -146,14 +146,7 @@ Result<protocol::RunReply> DatabaseService::Run(
     reply.stats = stats;
   } else {
     // Views off: epoch-pinned session run, rendered output cached only.
-    Session session = db_.Snapshot();
-    EvalStats stats;
-    SEQDL_ASSIGN_OR_RETURN(Instance derived,
-                           session.Run(*prog, ropts, &stats));
-    reply.epoch = session.epoch();
-    reply.segments = session.NumSegments();
-    SEQDL_ASSIGN_OR_RETURN(reply.rendered, Render(derived, req.output_rel));
-    reply.stats = stats;
+    SEQDL_ASSIGN_OR_RETURN(reply, RunUncached(req, *prog, ropts));
   }
 
   std::lock_guard<std::mutex> lock(results_mu_);

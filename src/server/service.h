@@ -238,7 +238,8 @@ class DatabaseService {
     std::list<std::string>::iterator lru;  ///< position in lru_
   };
 
-  /// The legacy no-cache path: epoch-pinned session run, nothing stored.
+  /// One epoch-pinned session run, rendered; stores nothing. The whole
+  /// answer without a result cache, and the views-off fill of one.
   Result<protocol::RunReply> RunUncached(
       const protocol::RunRequest& req, const PreparedProgram& prog,
       const RunOptions& ropts);

@@ -217,7 +217,7 @@ TEST(DatabaseConcurrencyTest, ParallelSessionRunsMatchSequential) {
 
   // Sequential reference (also exercises the lazy base index build before
   // the threads arrive — and again from cold in a fresh Database below).
-  Result<Instance> reference = db->OpenSession().Run(*prog);
+  Result<Instance> reference = db->Snapshot().Run(*prog);
   ASSERT_TRUE(reference.ok());
   std::string reference_text = reference->ToString(u);
   ASSERT_FALSE(reference_text.empty());
@@ -228,7 +228,7 @@ TEST(DatabaseConcurrencyTest, ParallelSessionRunsMatchSequential) {
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      Session session = db->OpenSession();
+      Session session = db->Snapshot();
       for (size_t r = 0; r < kRunsPerThread; ++r) {
         Result<Instance> out = session.Run(*prog);
         if (!out.ok()) {
@@ -273,7 +273,7 @@ TEST(DatabaseConcurrencyTest, ConcurrentStatsCollectionAndReads) {
   Result<PreparedProgram> prog = Engine::Compile(u, q->program);
   ASSERT_TRUE(prog.ok());
 
-  Result<Instance> reference = db->OpenSession().Run(*prog);
+  Result<Instance> reference = db->Snapshot().Run(*prog);
   ASSERT_TRUE(reference.ok());
   std::string reference_text = reference->ToString(u);
 
@@ -282,7 +282,7 @@ TEST(DatabaseConcurrencyTest, ConcurrentStatsCollectionAndReads) {
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      Session session = db->OpenSession();
+      Session session = db->Snapshot();
       RunOptions opts;
       opts.collect_derived_stats = true;
       for (size_t r = 0; r < kRunsPerThread; ++r) {
@@ -353,7 +353,7 @@ TEST(DatabaseConcurrencyTest, ColdDatabaseRacesIndexBuild) {
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      Result<Instance> out = db->OpenSession().Run(*prog);
+      Result<Instance> out = db->Snapshot().Run(*prog);
       outputs[t] = out.ok() ? out->ToString(u) : out.status().ToString();
     });
   }
@@ -390,8 +390,8 @@ TEST(DatabaseConcurrencyTest, DistinctProgramsShareOneDatabase) {
   ASSERT_TRUE(p1.ok());
   ASSERT_TRUE(p2.ok());
 
-  std::string ref1 = db->OpenSession().Run(*p1)->ToString(u);
-  std::string ref2 = db->OpenSession().Run(*p2)->ToString(u);
+  std::string ref1 = db->Snapshot().Run(*p1)->ToString(u);
+  std::string ref2 = db->Snapshot().Run(*p2)->ToString(u);
   ASSERT_FALSE(ref1.empty());
   ASSERT_FALSE(ref2.empty());
 
@@ -400,7 +400,7 @@ TEST(DatabaseConcurrencyTest, DistinctProgramsShareOneDatabase) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const PreparedProgram& prog = (t % 2 == 0) ? *p1 : *p2;
-      Result<Instance> out = db->OpenSession().Run(prog);
+      Result<Instance> out = db->Snapshot().Run(prog);
       outputs[t] = out.ok() ? out->ToString(u) : out.status().ToString();
     });
   }
@@ -420,7 +420,7 @@ TEST(DatabaseConcurrencyTest, SessionRejectsForeignUniverse) {
   ASSERT_TRUE(p.ok());
   Result<PreparedProgram> prog = Engine::Compile(u2, std::move(*p));
   ASSERT_TRUE(prog.ok());
-  Result<Instance> out = db->OpenSession().Run(*prog);
+  Result<Instance> out = db->Snapshot().Run(*prog);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }

@@ -393,8 +393,8 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
                  FormatProgram(u, c.program) + c.input.ToString(u));
 
-    // Reference: legacy one-shot Eval with default options.
-    EvalOptions base;
+    // Reference: one-shot Eval with default options.
+    RunOptions base;
     base.max_facts = kMaxFacts;
     base.max_iterations = kMaxIterations;
     Result<Instance> ref = Eval(u, c.program, c.input, base);
@@ -414,13 +414,17 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
       EXPECT_EQ(expected, got->ToString(u)) << mode;
     };
 
-    // One-shot Eval variants: naive iteration, body-order scans.
-    EvalOptions naive = base;
+    // Naive iteration (one-shot Eval) and body-order scans (compiled
+    // without reordering).
+    RunOptions naive = base;
     naive.seminaive = false;
     check("naive", Eval(u, c.program, c.input, naive));
-    EvalOptions unordered = base;
+    CompileOptions unordered;
     unordered.reorder_scans = false;
-    check("no-reorder", Eval(u, c.program, c.input, unordered));
+    Result<PreparedProgram> body_order =
+        Engine::CompileBorrowed(u, c.program, unordered);
+    ASSERT_TRUE(body_order.ok()) << body_order.status().ToString();
+    check("no-reorder", body_order->Run(c.input, base));
 
     // Prepared program, with indexes and with forced full scans.
     Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
@@ -437,7 +441,7 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
     // overlay only, so union the EDB back for comparison.
     Result<Database> db = Database::Open(u, c.input);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    Session session = db->OpenSession();
+    Session session = db->Snapshot();
     auto check_derived = [&](const char* mode, Result<Instance> derived) {
       ASSERT_TRUE(derived.ok()) << mode << ": "
                                 << derived.status().ToString();
@@ -503,7 +507,7 @@ TEST(DifferentialTest, ScopedStatsPlanLikeFullStats) {
     ropts.max_facts = kMaxFacts;
     ropts.max_iterations = kMaxIterations;
     ropts.collect_derived_stats = true;
-    (void)db->OpenSession().Run(*first, ropts);  // budget cutoffs are fine
+    (void)db->Snapshot().Run(*first, ropts);  // budget cutoffs are fine
 
     const std::set<RelId> rels = AllRels(c.program);
     StoreStats full = db->Stats();

@@ -63,19 +63,6 @@ TEST(EngineTest, CompileOnceRunMany) {
   EXPECT_EQ(*out1, *out3);
 }
 
-TEST(EngineTest, RunQueryProjects) {
-  Universe u;
-  Program p = MustParse(u, "T($x) <- R($x). S($x) <- T($x).");
-  Result<PreparedProgram> prog = Engine::Compile(u, std::move(p));
-  ASSERT_TRUE(prog.ok());
-  Instance in = MustInstance(u, "R(a).");
-  RelId s = *u.FindRel("S");
-  Result<Instance> out = prog->RunQuery(in, s);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->NumFacts(), 1u);
-  EXPECT_TRUE(out->Contains(s, {u.PathOfChars("a")}));
-}
-
 TEST(EngineTest, CompileRejectsUnsafeRule) {
   Universe u;
   Program p = MustParse(u, "S($x, $y) <- R($x).");
@@ -152,7 +139,7 @@ TEST(EnginePropertyTest, PreparedRunMatchesLegacyEvalOnWorkloads) {
         Result<Instance> in = wc.make_input(u, seed);
         ASSERT_TRUE(in.ok()) << wc.name << " seed " << seed;
 
-        EvalOptions legacy_opts;
+        RunOptions legacy_opts;
         legacy_opts.seminaive = seminaive;
         legacy_opts.use_index = false;  // the seed engine's scan path
         Result<Instance> legacy = Eval(u, q->program, *in, legacy_opts);
@@ -600,7 +587,7 @@ TEST(DatabaseTest, SessionRunReturnsDerivedOnly) {
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db->edb().NumFacts(), 2u);
 
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   Result<Instance> derived = session.Run(*prog);
   ASSERT_TRUE(derived.ok());
   RelId r = *u.FindRel("R");
@@ -610,15 +597,34 @@ TEST(DatabaseTest, SessionRunReturnsDerivedOnly) {
   // `$x ++ $y` enumerates every split of every reachable path.
   EXPECT_GT(derived->Tuples(reach).size(), 0u);
 
-  // Same derived facts as the legacy input-plus-derived path.
+  // Same derived facts as the input-plus-derived path.
   Result<Instance> full = prog->Run(in_copy);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->Project({reach}), derived->Project({reach}));
 
-  // RunQuery projects.
-  Result<Instance> projected = session.RunQuery(*prog, reach);
-  ASSERT_TRUE(projected.ok());
-  EXPECT_EQ(*projected, derived->Project({reach}));
+  // A fresh snapshot's run, projected, answers the same.
+  Result<Instance> again = db->Snapshot().Run(*prog);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->Project({reach}), derived->Project({reach}));
+
+  // An input that already holds facts of the derived relation: Run
+  // returns the instance's Reach facts plus the session's derived ones,
+  // the union `seqdl run` prints with or without a data directory.
+  Instance seeded =
+      MustInstance(u, "R(a ++ b). Reach(c, d). Reach(a, b).");
+  Result<Instance> seeded_full = prog->Run(seeded);
+  ASSERT_TRUE(seeded_full.ok());
+  Result<Database> seeded_db = Database::Open(u, seeded);
+  ASSERT_TRUE(seeded_db.ok());
+  Result<Instance> seeded_derived = seeded_db->Snapshot().Run(*prog);
+  ASSERT_TRUE(seeded_derived.ok());
+  Instance expected = seeded.Project({reach});
+  expected.UnionWith(seeded_derived->Project({reach}));
+  EXPECT_EQ(seeded_full->Project({reach}), expected);
+  // Reach(c, d) has no derivation: only the instance contributes it.
+  const Tuple cd = {u.PathOfChars("c"), u.PathOfChars("d")};
+  EXPECT_TRUE(seeded_full->Contains(reach, cd));
+  EXPECT_FALSE(seeded_derived->Contains(reach, cd));
 }
 
 TEST(DatabaseTest, BaseIndexesBuildOncePerColumn) {
@@ -633,23 +639,13 @@ TEST(DatabaseTest, BaseIndexesBuildOncePerColumn) {
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db->NumIndexedColumns(), 0u);  // lazy: nothing probed yet
 
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   ASSERT_TRUE(session.Run(*prog).ok());
   size_t after_first = db->NumIndexedColumns();
   EXPECT_GT(after_first, 0u);
   // Re-running probes the already-built indexes; nothing new is built.
   ASSERT_TRUE(session.Run(*prog).ok());
   EXPECT_EQ(db->NumIndexedColumns(), after_first);
-}
-
-TEST(DatabaseTest, EagerIndexesBuildAtOpen) {
-  Universe u;
-  Instance in = MustInstance(u, "R(a ++ b). S(c, d).");
-  Database::OpenOptions opts;
-  opts.eager_indexes = true;
-  Result<Database> db = Database::Open(u, std::move(in), opts);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db->NumIndexedColumns(), 3u);  // R/0, S/0, S/1
 }
 
 TEST(DatabaseTest, RunsDoNotMutateTheBase) {
@@ -660,7 +656,7 @@ TEST(DatabaseTest, RunsDoNotMutateTheBase) {
   Instance in = MustInstance(u, "R(a). R(b).");
   Result<Database> db = Database::Open(u, std::move(in));
   ASSERT_TRUE(db.ok());
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   for (int i = 0; i < 3; ++i) {
     Result<Instance> derived = session.Run(*prog);
     ASSERT_TRUE(derived.ok());
@@ -854,22 +850,6 @@ TEST(EpochTest, AutoCompactionFoldsBySegmentCount) {
   EXPECT_EQ(db->NumSegments(), 1u);  // 3 > 2 folded back to one
   EXPECT_EQ(db->epoch(), 2u);        // compaction never moves the epoch
   EXPECT_EQ(db->NumFacts(), 3u);
-}
-
-TEST(EpochTest, AutoCompactionFoldsByTailRatio) {
-  Universe u;
-  Database::OpenOptions opts;
-  opts.auto_compact_tail_ratio = 0.4;
-  Result<Database> db =
-      Database::Open(u, MustInstance(u, "R(a). R(b). R(c). R(d)."), opts);
-  ASSERT_TRUE(db.ok());
-  // Tail 1/5 = 0.2 <= 0.4: stays stacked.
-  ASSERT_TRUE(db->Append(MustInstance(u, "R(e).")).ok());
-  EXPECT_EQ(db->NumSegments(), 2u);
-  // Tail 5/9 > 0.4: folds.
-  ASSERT_TRUE(db->Append(MustInstance(u, "R(f). R(g). R(h). R(i).")).ok());
-  EXPECT_EQ(db->NumSegments(), 1u);
-  EXPECT_EQ(db->NumFacts(), 9u);
 }
 
 TEST(EpochTest, StatsAreEpochAware) {

@@ -309,7 +309,7 @@ TEST(EvalTest, Example22PackingAndNonequalities) {
 TEST(EvalTest, Example23DoesNotTerminate) {
   Universe u;
   Program p = MustParse(u, "T(a). T(a ++ $x) <- T($x).");
-  EvalOptions opts;
+  RunOptions opts;
   opts.max_facts = 1000;
   Result<Instance> out = Eval(u, p, Instance{}, opts);
   ASSERT_FALSE(out.ok());
@@ -319,7 +319,7 @@ TEST(EvalTest, Example23DoesNotTerminate) {
 TEST(EvalTest, NonterminationCaughtByIterationBudget) {
   Universe u;
   Program p = MustParse(u, "T(a). T(a ++ $x) <- T($x).");
-  EvalOptions opts;
+  RunOptions opts;
   opts.max_iterations = 50;
   Result<Instance> out = Eval(u, p, Instance{}, opts);
   ASSERT_FALSE(out.ok());
@@ -371,7 +371,7 @@ TEST(EvalTest, NaiveAndSeminaiveAgree) {
                         "T(@x ++ @z) <- T(@x ++ @y), R(@y ++ @z).\n"
                         "S <- T(a ++ b).\n");
   Instance in = MustInstance(u, "R(a ++ c). R(c ++ d). R(d ++ b). R(b ++ a).");
-  EvalOptions naive;
+  RunOptions naive;
   naive.seminaive = false;
   Result<Instance> o1 = Eval(u, p, in);
   Result<Instance> o2 = Eval(u, p, in, naive);
@@ -425,7 +425,7 @@ TEST(EvalTest, EvalQueryProjects) {
 TEST(EvalTest, MaxPathLengthGuard) {
   Universe u;
   Program p = MustParse(u, "T(a). T($x ++ $x) <- T($x).");
-  EvalOptions opts;
+  RunOptions opts;
   opts.max_path_length = 64;
   Result<Instance> out = Eval(u, p, Instance{}, opts);
   ASSERT_FALSE(out.ok());

@@ -221,7 +221,7 @@ TEST_P(PipelineSeedTest, FullDesugaringOfTwoOccurrences) {
   in->UnionWith(*needles);
 
   RelId a_rel = *u.FindRel("A");
-  EvalOptions opts;
+  RunOptions opts;
   opts.max_facts = 2'000'000;
   Result<Instance> o1 = EvalQuery(u, p, *in, a_rel, opts);
   Result<Instance> o2 = EvalQuery(u, *q3, *in, a_rel, opts);
@@ -266,7 +266,7 @@ TEST_P(PipelineSeedTest, NaiveSeminaiveAgreeOnReachability) {
   Graph g = RandomGraph(gw);
   Result<Instance> in = GraphToInstance(u, g, "R");
   ASSERT_TRUE(in.ok());
-  EvalOptions naive;
+  RunOptions naive;
   naive.seminaive = false;
   Result<Instance> o1 = Eval(u, q->program, *in);
   Result<Instance> o2 = Eval(u, q->program, *in, naive);

@@ -75,7 +75,7 @@ TEST(CorpusTest, TerminatingEntriesTerminateOnSamples) {
       for (uint32_t i = 0; i < arity; ++i) t.push_back(u.PathOfChars("ab"));
       in.Add(rel, t);
     }
-    EvalOptions opts;
+    RunOptions opts;
     opts.max_facts = 100000;
     opts.max_iterations = 10000;
     Result<Instance> out = Eval(u, parsed->program, in, opts);
@@ -87,7 +87,7 @@ TEST(CorpusTest, NonterminatingEntryExhaustsBudget) {
   Universe u;
   Result<ParsedQuery> parsed = ParsePaperQuery(u, "ex23_nonterminating");
   ASSERT_TRUE(parsed.ok());
-  EvalOptions opts;
+  RunOptions opts;
   opts.max_facts = 500;
   Result<Instance> out = Eval(u, parsed->program, Instance{}, opts);
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);

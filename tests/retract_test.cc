@@ -12,6 +12,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
@@ -108,6 +109,26 @@ TEST(RetractTest, PinnedSessionKeepsSeeingRetractedFacts) {
   EXPECT_EQ(db->Snapshot().NumFacts(), 1u);
   EXPECT_EQ(db->Snapshot().edb().ToString(u),
             MustInstance(u, "E(b, c).").ToString(u));
+}
+
+TEST(RetractTest, EdbRestrictedToRelationsAppliesTombstones) {
+  Universe u;
+  Result<Database> db =
+      Database::Open(u, MustInstance(u, "E(a, b). E(b, c). F(a)."));
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(db->Append(MustInstance(u, "F(b).")).ok());
+  ASSERT_TRUE(db->Retract(MustInstance(u, "E(a, b).")).ok());
+  RelId e = *u.FindRel("E");
+  RelId f = *u.FindRel("F");
+
+  // Each segment is restricted before the union; tombstones still
+  // shadow the facts of the kept relations.
+  Session s = db->Snapshot();
+  EXPECT_EQ(s.edb({e}).ToString(u), MustInstance(u, "E(b, c).").ToString(u));
+  EXPECT_EQ(s.edb({f}).ToString(u),
+            MustInstance(u, "F(a). F(b).").ToString(u));
+  EXPECT_EQ(s.edb({e, f}), s.edb());
+  EXPECT_TRUE(s.edb(std::vector<RelId>{}).Empty());
 }
 
 TEST(RetractTest, ReAppendAfterRetractFlipsVisibilityBack) {

@@ -166,7 +166,7 @@ TEST(DegenerateTest, ZeroBudgetsFailFast) {
   ASSERT_TRUE(p.ok());
   Result<Instance> in = ParseInstance(u, "R(a).");
   ASSERT_TRUE(in.ok());
-  EvalOptions opts;
+  RunOptions opts;
   opts.max_facts = 0;
   Result<Instance> out = Eval(u, *p, *in, opts);
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);

@@ -3,8 +3,9 @@
 //   seqdl run <program.sdl> [<instance.sdl>] [--data-dir=DIR]
 //              [--sync=always|interval|never] [--output=REL] [--naive]
 //              [--no-index] [--stats] [--explain] [--legacy-planner]
-//       Evaluate a program on an instance and print the derived facts
-//       (all IDB relations, or just --output). The planner ranks access
+//       Evaluate a program on an instance and print the facts of all
+//       IDB relations (or just --output): the instance's own facts of
+//       those relations plus the derived ones. The planner ranks access
 //       paths by selectivity statistics measured over the instance;
 //       --legacy-planner forces the first-ground-argument heuristic.
 //       --explain prints the chosen plan (key column and scan order per
@@ -13,7 +14,8 @@
 //       the program runs against a durable database (docs/storage.md):
 //       an initialized directory is recovered without re-ingesting
 //       anything (the instance argument becomes optional), a fresh one
-//       is seeded from the instance.
+//       is seeded from the instance. Either way the run is the same and
+//       prints the same facts.
 //
 //   seqdl serve [<instance.sdl>] [--data-dir=DIR]
 //               [--sync=always|interval|never] [--stats] [--threads=N]
@@ -297,18 +299,37 @@ void PrintStatsReply(const seqdl::protocol::StatsReply& reply) {
               seqdl::RenderCounters(reply.views, "views.").c_str());
 }
 
-// `seqdl run --data-dir=DIR`: evaluate against a durable database —
-// recovering an initialized directory (the second positional instance,
-// if any, is ignored with a note), or seeding a fresh one from the
-// instance file first.
-int RunDurable(const std::vector<std::string>& args,
-               const std::vector<std::string>& pos, seqdl::Universe& u,
-               seqdl::Program program) {
+int CmdRun(const std::vector<std::string>& args) {
+  std::vector<std::string> pos = PositionalArgs(args);
   seqdl::Database::OpenOptions dbopts;
   if (!ApplyStorageFlags(args, &dbopts)) return 2;
-  bool recovering = seqdl::Database::DataDirInitialized(dbopts.data_dir);
+  const bool durable = !dbopts.data_dir.empty();
+  if (pos.empty() || (pos.size() < 2 && !durable)) {
+    std::fprintf(stderr,
+                 "usage: seqdl run <program> [<instance>] [--data-dir=DIR] "
+                 "[--sync=always|interval|never] [--output=REL] [--naive] "
+                 "[--no-index] [--stats] [--explain] [--legacy-planner]\n"
+                 "(the instance is required without --data-dir; with one, "
+                 "it seeds a fresh data directory)\n");
+    return 2;
+  }
+  seqdl::Universe u;
+  auto program_text = ReadFile(pos[0]);
+  if (!program_text.ok()) return Fail(program_text.status());
+  seqdl::DiagnosticList parse_diags;
+  auto program = seqdl::ParseProgram(u, *program_text, &parse_diags);
+  if (!program.ok()) {
+    // The same structured rendering as `seqdl check`: file:line:col,
+    // severity, stable SD code.
+    std::fprintf(stderr, "%s", parse_diags.RenderText(pos[0]).c_str());
+    return 1;
+  }
+
+  // The EDB: the instance file in memory, or a data directory —
+  // recovered when initialized (an instance argument is then ignored
+  // with a note), seeded from the instance file when fresh.
   seqdl::Instance seed;
-  if (recovering) {
+  if (durable && seqdl::Database::DataDirInitialized(dbopts.data_dir)) {
     if (pos.size() > 1) {
       std::fprintf(stderr,
                    "-- note: %s is already initialized; ignoring %s "
@@ -332,108 +353,53 @@ int RunDurable(const std::vector<std::string>& args,
   auto db = seqdl::Database::Open(u, std::move(seed), dbopts);
   if (!db.ok()) return FailStorage(db.status());
 
-  // Database::Compile feeds the recovered stack's measured statistics
-  // to the planner — the durable twin of ComputeInstanceStats below.
-  auto prepared = db->Compile(std::move(program));
+  // Database::Compile ranks access paths by the EDB's measured
+  // selectivity; --legacy-planner keeps the first-ground-argument
+  // heuristic (results are identical either way — only cost changes).
+  auto prepared = HasFlag(args, "--legacy-planner")
+                      ? seqdl::Engine::Compile(u, std::move(*program))
+                      : db->Compile(std::move(*program));
   if (!prepared.ok()) return Fail(prepared.status());
   if (HasFlag(args, "--explain")) {
     std::fprintf(stderr, "%s", prepared->ExplainPlan().c_str());
   }
+
   seqdl::RunOptions opts;
   opts.seminaive = !HasFlag(args, "--naive");
   opts.use_index = !HasFlag(args, "--no-index");
   seqdl::EvalStats stats;
   seqdl::Session session = db->Snapshot();
-  auto out = session.Run(*prepared, opts, &stats);
-  if (!out.ok()) return Fail(out.status());
+  auto derived = session.Run(*prepared, opts, &stats);
+  if (!derived.ok()) return Fail(derived.status());
 
-  std::string output_rel = FlagValue(args, "--output=");
-  if (!output_rel.empty()) {
+  // Print the IDB relations (or just --output): their visible input
+  // facts plus what the run derived.
+  std::vector<seqdl::RelId> printed;
+  if (std::string output_rel = FlagValue(args, "--output=");
+      !output_rel.empty()) {
     auto rel = u.FindRel(output_rel);
     if (!rel.ok()) return Fail(rel.status());
-    std::printf("%s", out->Project({*rel}).ToString(u).c_str());
+    printed.push_back(*rel);
   } else {
     std::set<seqdl::RelId> idb = seqdl::IdbRels(prepared->program());
-    std::printf("%s",
-                out->Project({idb.begin(), idb.end()}).ToString(u).c_str());
+    printed.assign(idb.begin(), idb.end());
   }
-  seqdl::storage::StorageInfo sinfo = db->storage_info();
-  std::fprintf(stderr,
-               "-- %zu facts derived in %zu rounds (%zu firings) at epoch "
-               "%llu; storage generation %llu, %llu bytes on disk\n",
-               stats.derived_facts, stats.rounds, stats.rule_firings,
-               static_cast<unsigned long long>(session.epoch()),
-               static_cast<unsigned long long>(sinfo.manifest_generation),
-               static_cast<unsigned long long>(sinfo.on_disk_bytes));
-  if (HasFlag(args, "--stats")) PrintEvalCounters(stats);
-  return 0;
-}
+  seqdl::Instance out = session.edb(printed);
+  out.UnionWith(derived->Project(printed));
+  std::printf("%s", out.ToString(u).c_str());
 
-int CmdRun(const std::vector<std::string>& args) {
-  std::vector<std::string> pos = PositionalArgs(args);
-  std::string data_dir = FlagValue(args, "--data-dir=");
-  if (pos.empty() || (pos.size() < 2 && data_dir.empty())) {
-    std::fprintf(stderr,
-                 "usage: seqdl run <program> [<instance>] [--data-dir=DIR] "
-                 "[--sync=always|interval|never] [--output=REL] [--naive] "
-                 "[--no-index] [--stats] [--explain] [--legacy-planner]\n"
-                 "(the instance is required without --data-dir; with one, "
-                 "it seeds a fresh data directory)\n");
-    return 2;
-  }
-  seqdl::Universe u;
-  auto program_text = ReadFile(pos[0]);
-  if (!program_text.ok()) return Fail(program_text.status());
-  seqdl::DiagnosticList parse_diags;
-  auto program = seqdl::ParseProgram(u, *program_text, &parse_diags);
-  if (!program.ok()) {
-    // The same structured rendering as `seqdl check`: file:line:col,
-    // severity, stable SD code.
-    std::fprintf(stderr, "%s", parse_diags.RenderText(pos[0]).c_str());
-    return 1;
-  }
-
-  if (!data_dir.empty()) return RunDurable(args, pos, u, std::move(*program));
-
-  auto instance_text = ReadFile(pos[1]);
-  if (!instance_text.ok()) return Fail(instance_text.status());
-  auto instance = seqdl::ParseInstance(u, *instance_text);
-  if (!instance.ok()) return FailDiag(pos[1], instance.status());
-
-  // Measure the instance so the planner can rank access paths by
-  // selectivity; --legacy-planner keeps the first-ground-argument
-  // heuristic (results are identical either way — only cost changes).
-  seqdl::CompileOptions copts;
-  seqdl::StoreStats selectivity;
-  if (!HasFlag(args, "--legacy-planner")) {
-    selectivity = seqdl::ComputeInstanceStats(u, *instance);
-    copts.stats = &selectivity;
-  }
-  auto prepared = seqdl::Engine::Compile(u, std::move(*program), copts);
-  if (!prepared.ok()) return Fail(prepared.status());
-  if (HasFlag(args, "--explain")) {
-    std::fprintf(stderr, "%s", prepared->ExplainPlan().c_str());
-  }
-
-  seqdl::RunOptions opts;
-  opts.seminaive = !HasFlag(args, "--naive");
-  opts.use_index = !HasFlag(args, "--no-index");
-  seqdl::EvalStats stats;
-  auto out = prepared->Run(*instance, opts, &stats);
-  if (!out.ok()) return Fail(out.status());
-
-  std::string output_rel = FlagValue(args, "--output=");
-  if (!output_rel.empty()) {
-    auto rel = u.FindRel(output_rel);
-    if (!rel.ok()) return Fail(rel.status());
-    std::printf("%s", out->Project({*rel}).ToString(u).c_str());
-  } else {
-    std::set<seqdl::RelId> idb = seqdl::IdbRels(prepared->program());
-    std::printf("%s",
-                out->Project({idb.begin(), idb.end()}).ToString(u).c_str());
-  }
-  std::fprintf(stderr, "-- %zu facts derived in %zu rounds (%zu firings)\n",
+  std::fprintf(stderr, "-- %zu facts derived in %zu rounds (%zu firings)",
                stats.derived_facts, stats.rounds, stats.rule_firings);
+  if (durable) {
+    seqdl::storage::StorageInfo sinfo = db->storage_info();
+    std::fprintf(stderr,
+                 " at epoch %llu; storage generation %llu, %llu bytes on "
+                 "disk",
+                 static_cast<unsigned long long>(session.epoch()),
+                 static_cast<unsigned long long>(sinfo.manifest_generation),
+                 static_cast<unsigned long long>(sinfo.on_disk_bytes));
+  }
+  std::fputc('\n', stderr);
   if (HasFlag(args, "--stats")) {
     PrintEvalCounters(stats);
     for (size_t i = 0; i < stats.per_stratum.size(); ++i) {
