@@ -1,6 +1,7 @@
 // Path-expression matching throughput: the engine's core primitive
 // (enumerate all valuations with ν(e) = p), across pattern shapes — ground,
-// k path-variable splits, shared variables, and packing.
+// k path-variable splits, shared variables, and packing. Bindings are
+// slices of the matched path, so no iteration interns a path.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -31,7 +32,7 @@ void PrintMatchCounts() {
     Result<PathId> p = EvalGroundExpr(u, *pe);
     size_t count = 0;
     Valuation v;
-    MatchExpr(u, *e, *p, v, [&count](Valuation&) {
+    MatchExpr(u, *e, Slice::Of(u, *p), v, [&count](Valuation&) {
       ++count;
       return true;
     });
@@ -52,7 +53,7 @@ void RunMatch(benchmark::State& state, const std::string& pattern,
   for (auto _ : state) {
     size_t count = 0;
     Valuation v;
-    MatchExpr(u, *e, p, v, [&count](Valuation&) {
+    MatchExpr(u, *e, Slice::Of(u, p), v, [&count](Valuation&) {
       ++count;
       return true;
     });
@@ -91,7 +92,7 @@ void BM_MatchPacked(benchmark::State& state) {
   for (auto _ : state) {
     size_t count = 0;
     Valuation v;
-    MatchExpr(u, *e, p, v, [&count](Valuation&) {
+    MatchExpr(u, *e, Slice::Of(u, p), v, [&count](Valuation&) {
       ++count;
       return true;
     });

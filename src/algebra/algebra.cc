@@ -128,7 +128,8 @@ namespace {
 Valuation BindColumns(Universe& u, const Tuple& t) {
   Valuation v;
   for (size_t i = 0; i < t.size(); ++i) {
-    v.Bind(u.InternVar(VarKind::kPath, std::to_string(i + 1)), t[i]);
+    v.Bind(u.InternVar(VarKind::kPath, std::to_string(i + 1)),
+           Slice::Of(u, t[i]));
   }
   return v;
 }

@@ -88,6 +88,10 @@ struct CounterField {
   X(uint64_t, dred_decrements, kSum)                                        \
   X(uint64_t, dred_over_deleted, kSum)                                      \
   X(uint64_t, dred_re_derived, kSum)                                        \
+  /* Universe::InternPath calls the executor made: derived head values     \
+     whose path was not already known, and packed values. Matching, probe  \
+     keys, negated lookups and equations intern nothing. */                 \
+  X(uint64_t, path_interns, kSum)                                           \
   /* Wall time Engine::Compile spent validating + planning the program. */  \
   X(double, compile_seconds, kMax)                                          \
   /* Wall time of this run. */                                              \

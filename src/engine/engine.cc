@@ -87,7 +87,9 @@ class Executor {
  public:
   Executor(Universe& u, const PreparedProgram& prog, const RunOptions& opts,
            EvalStats* stats)
-      : u_(u), prog_(prog), opts_(opts), stats_(stats) {}
+      : u_(u), prog_(prog), opts_(opts), stats_(stats), eval_(u) {}
+
+  uint64_t path_interns() const { return eval_.interns(); }
 
   // Evaluates over the (shared, never mutated) base segments; returns the
   // derived IDB overlay only. Segments are scanned in stack order (oldest
@@ -644,6 +646,8 @@ class Executor {
                    size_t delta_step, const std::map<RelId, TupleSet>* delta,
                    DeltaIndexer* delta_idx) {
     if (!status_.ok()) return false;
+    // Everything this step evaluates lives until its enumeration is done.
+    SliceEvaluator::Scope scope(eval_);
     if (step_idx == plan.steps.size()) return DeriveHead(plan, v);
 
     const PlanStep& step = plan.steps[step_idx];
@@ -774,18 +778,18 @@ class Executor {
         bool lhs_bound = AllVarsBound(lit.lhs, v);
         bool rhs_bound = AllVarsBound(lit.rhs, v);
         if (lhs_bound && rhs_bound) {
-          PathId a, b;
+          Slice a, b;
           if (!EvalTo(lit.lhs, v, &a) || !EvalTo(lit.rhs, v, &b)) return false;
-          if (a != b) return true;
+          if (!a.SameValues(b)) return true;
           return next(v);
         }
         if (lhs_bound) {
-          PathId a;
+          Slice a;
           if (!EvalTo(lit.lhs, v, &a)) return false;
           return MatchExpr(u_, lit.rhs, a, v, next);
         }
         if (rhs_bound) {
-          PathId b;
+          Slice b;
           if (!EvalTo(lit.rhs, v, &b)) return false;
           return MatchExpr(u_, lit.lhs, b, v, next);
         }
@@ -796,20 +800,21 @@ class Executor {
         Tuple t;
         t.reserve(lit.pred.args.size());
         for (const PathExpr& e : lit.pred.args) {
-          PathId p;
-          if (!EvalTo(e, v, &p)) return false;
-          t.push_back(p);
+          Slice s;
+          if (!EvalTo(e, v, &s)) return false;
+          t.push_back(eval_.Find(s));
         }
         // The negated relation is complete here (stratified negation): it is
         // either EDB or defined in an earlier stratum, so the store holds
-        // all of its facts.
+        // all of its facts. A value that is not interned (kNoPath) is in
+        // no stored tuple.
         if (store_.Contains(lit.pred.rel, t)) return true;
         return next(v);
       }
       case PlanStep::Kind::kNegEq: {
-        PathId a, b;
+        Slice a, b;
         if (!EvalTo(lit.lhs, v, &a) || !EvalTo(lit.rhs, v, &b)) return false;
-        if (a == b) return true;
+        if (a.SameValues(b)) return true;
         return next(v);
       }
     }
@@ -825,7 +830,8 @@ class Executor {
 
     Kind kind = Kind::kNone;
     uint32_t col = 0;
-    PathId whole = kEmptyPath;  // kWhole: the ground argument's path.
+    // kWhole: the ground argument's path; kNoPath (in no tuple) if unknown.
+    PathId whole = kEmptyPath;
     Value value;                // kFirst/kLast: the prefix/suffix end value.
   };
 
@@ -840,26 +846,31 @@ class Executor {
     if (step.index_arg >= 0) {
       key->col = static_cast<uint32_t>(step.index_arg);
       key->kind = StepKey::Kind::kWhole;
-      return EvalTo(lit.pred.args[static_cast<size_t>(step.index_arg)], v,
-                    &key->whole);
+      Slice whole;
+      if (!EvalTo(lit.pred.args[static_cast<size_t>(step.index_arg)], v,
+                  &whole)) {
+        return false;
+      }
+      key->whole = eval_.Find(whole);
+      return true;
     }
     if (step.prefix_arg >= 0) {
-      PathId prefix;
+      Slice prefix;
       if (!EvalTo(step.prefix_expr, v, &prefix)) return false;
-      if (prefix != kEmptyPath) {
+      if (prefix.size() != 0) {
         key->col = static_cast<uint32_t>(step.prefix_arg);
         key->kind = StepKey::Kind::kFirst;
-        key->value = u_.GetPath(prefix).front();
+        key->value = prefix.values.front();
       }
       return true;
     }
     if (step.suffix_arg >= 0) {
-      PathId suffix;
+      Slice suffix;
       if (!EvalTo(step.suffix_expr, v, &suffix)) return false;
-      if (suffix != kEmptyPath) {
+      if (suffix.size() != 0) {
         key->col = static_cast<uint32_t>(step.suffix_arg);
         key->kind = StepKey::Kind::kLast;
-        key->value = u_.GetPath(suffix).back();
+        key->value = suffix.values.back();
       }
       return true;
     }
@@ -929,8 +940,8 @@ class Executor {
     return true;
   }
 
-  bool EvalTo(const PathExpr& e, const Valuation& v, PathId* out) {
-    Result<PathId> r = EvalExpr(u_, e, v);
+  bool EvalTo(const PathExpr& e, const Valuation& v, Slice* out) {
+    Result<Slice> r = eval_.Eval(e, v);
     if (!r.ok()) {
       status_ = r.status();
       return false;
@@ -958,16 +969,17 @@ class Executor {
     Tuple t;
     t.reserve(plan.rule->head.args.size());
     for (const PathExpr& e : plan.rule->head.args) {
-      PathId p;
-      if (!EvalTo(e, v, &p)) return false;
-      if (u_.PathLength(p) > opts_.max_path_length) {
+      Slice s;
+      if (!EvalTo(e, v, &s)) return false;
+      // Checked before interning, so a rejected path is never stored.
+      if (s.size() > opts_.max_path_length) {
         status_ = Status::ResourceExhausted(
             "derived path longer than max_path_length = " +
             std::to_string(opts_.max_path_length) +
             " (the program may not terminate)");
         return false;
       }
-      t.push_back(p);
+      t.push_back(eval_.Intern(s));
     }
     RelId rel = plan.rule->head.rel;
     if (decrement_mode_) {
@@ -1024,6 +1036,8 @@ class Executor {
   const RunOptions& opts_;
   EvalStats* stats_;
   LayeredStore store_;
+  /// Evaluates expressions to slices; the one place a run interns paths.
+  SliceEvaluator eval_;
   /// When non-null (RunDelta), MergePending also records every accepted
   /// fact here — the per-stratum additions the maintenance cascade diffs.
   Instance* stratum_added_ = nullptr;
@@ -1191,6 +1205,7 @@ auto PreparedProgram::Measured(const RunOptions& opts, EvalStats* stats,
   }
   internal::Executor exec(*universe_, *this, opts, stats);
   auto out = body(exec);
+  if (stats) stats->path_interns = exec.path_interns();
   if (stats && opts.collect_derived_stats && out.ok()) {
     stats->derived_stats = ComputeInstanceStats(*universe_, DerivedFacts(*out));
   }

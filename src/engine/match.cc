@@ -1,66 +1,84 @@
 #include "src/engine/match.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 #include <vector>
 
 namespace seqdl {
 
-Result<PathId> EvalExpr(Universe& u, const PathExpr& e, const Valuation& v) {
-  std::vector<Value> values;
+Result<Slice> SliceEvaluator::Eval(const PathExpr& e, const Valuation& v) {
+  size_t n = 0;
   for (const ExprItem& it : e.items) {
-    switch (it.kind) {
-      case ExprItem::Kind::kConst:
-        values.push_back(it.atom);
-        break;
-      case ExprItem::Kind::kAtomVar: {
-        if (!v.IsBound(it.var)) {
-          return Status::InvalidArgument("EvalExpr: unbound atomic variable @" +
-                                         u.VarName(it.var));
-        }
-        std::span<const Value> p = u.GetPath(v.Get(it.var));
-        assert(p.size() == 1 && p[0].is_atom());
-        values.push_back(p[0]);
-        break;
-      }
-      case ExprItem::Kind::kPathVar: {
-        if (!v.IsBound(it.var)) {
-          return Status::InvalidArgument("EvalExpr: unbound path variable $" +
-                                         u.VarName(it.var));
-        }
-        std::span<const Value> p = u.GetPath(v.Get(it.var));
-        values.insert(values.end(), p.begin(), p.end());
-        break;
-      }
-      case ExprItem::Kind::kPack: {
-        SEQDL_ASSIGN_OR_RETURN(PathId inner, EvalExpr(u, *it.pack, v));
-        values.push_back(Value::Packed(inner));
-        break;
-      }
+    if (it.is_var() && !v.IsBound(it.var)) {
+      return Status::InvalidArgument(
+          std::string("EvalExpr: unbound ") +
+          (it.kind == ExprItem::Kind::kAtomVar ? "atomic variable @"
+                                                : "path variable $") +
+          u_.VarName(it.var));
+    }
+    n += it.is_var() ? v.Get(it.var).size() : 1;
+  }
+  if (e.items.size() == 1 && e.items[0].is_var()) return v.Get(e.items[0].var);
+  if (e.items.size() == 1 && e.items[0].kind == ExprItem::Kind::kConst) {
+    return Slice{{&e.items[0].atom, 1}};
+  }
+  std::span<Value> out = Allocate(n);
+  Value* next = out.data();
+  for (const ExprItem& it : e.items) {
+    if (it.is_var()) {
+      next = std::ranges::copy(v.Get(it.var).values, next).out;
+    } else if (it.kind == ExprItem::Kind::kConst) {
+      *next++ = it.atom;
+    } else {
+      Scope inner(*this);
+      SEQDL_ASSIGN_OR_RETURN(Slice packed, Eval(*it.pack, v));
+      *next++ = Value::Packed(Intern(packed));
     }
   }
-  return u.InternPath(values);
+  return Slice{out, n == 0 ? kEmptyPath : kNoPath};
+}
+
+std::span<Value> SliceEvaluator::Allocate(size_t n) {
+  while (chunk_ < chunks_.size() && used_ + n > chunks_[chunk_].size()) {
+    ++chunk_;
+    used_ = 0;
+  }
+  if (chunk_ == chunks_.size()) {
+    chunks_.emplace_back(
+        std::max<size_t>(n, chunks_.empty() ? 256 : 2 * chunks_.back().size()));
+  }
+  std::span<Value> out(chunks_[chunk_].data() + used_, n);
+  used_ += n;
+  return out;
+}
+
+Result<PathId> EvalExpr(Universe& u, const PathExpr& e, const Valuation& v) {
+  SliceEvaluator eval(u);
+  SEQDL_ASSIGN_OR_RETURN(Slice s, eval.Eval(e, v));
+  return eval.Intern(s);
 }
 
 bool AllVarsBound(const PathExpr& e, const Valuation& v) {
-  for (VarId var : VarSet(e)) {
-    if (!v.IsBound(var)) return false;
-  }
-  return true;
+  return std::ranges::all_of(e.items, [&](const ExprItem& it) {
+    if (it.is_var()) return v.IsBound(it.var);
+    return it.kind != ExprItem::Kind::kPack || AllVarsBound(*it.pack, v);
+  });
 }
 
 namespace {
 
 // Backtracking matcher. Items are matched left to right against
 // path[pos..]; `next` is the continuation run when the current item list is
-// exhausted (it must verify pos reached the end of its region).
+// exhausted (it must verify pos reached the end of its region). Variables
+// bind to slices of `path`, so matching interns nothing.
 class Matcher {
  public:
-  explicit Matcher(Universe& u) : u_(u) {}
+  explicit Matcher(const Universe& u) : u_(u) {}
 
   // Returns false iff enumeration was stopped by the callback.
-  bool Match(const std::vector<ExprItem>& items, size_t item_idx,
-             std::span<const Value> path, size_t pos, Valuation& v,
-             const std::function<bool(Valuation&)>& next) {
+  bool Match(const std::vector<ExprItem>& items, size_t item_idx, Slice path,
+             size_t pos, Valuation& v, MatchCallback next) {
     if (item_idx == items.size()) {
       if (pos != path.size()) return true;  // dead end, keep enumerating
       return next(v);
@@ -68,31 +86,29 @@ class Matcher {
     const ExprItem& it = items[item_idx];
     switch (it.kind) {
       case ExprItem::Kind::kConst: {
-        if (pos < path.size() && path[pos] == it.atom) {
+        if (pos < path.size() && path.values[pos] == it.atom) {
           return Match(items, item_idx + 1, path, pos + 1, v, next);
         }
         return true;
       }
       case ExprItem::Kind::kAtomVar: {
         if (pos >= path.size()) return true;
-        Value val = path[pos];
+        Value val = path.values[pos];
         if (!val.is_atom()) return true;  // atomic vars take atomic values
         if (v.IsBound(it.var)) {
-          if (v.Get(it.var) != u_.SingletonPath(val)) return true;
+          if (v.Get(it.var).values[0] != val) return true;
           return Match(items, item_idx + 1, path, pos + 1, v, next);
         }
-        v.Bind(it.var, u_.SingletonPath(val));
+        v.Bind(it.var, path.Sub(pos, 1));
         bool cont = Match(items, item_idx + 1, path, pos + 1, v, next);
         v.Unbind(it.var);
         return cont;
       }
       case ExprItem::Kind::kPathVar: {
         if (v.IsBound(it.var)) {
-          std::span<const Value> bound = u_.GetPath(v.Get(it.var));
+          const Slice& bound = v.Get(it.var);
           if (pos + bound.size() > path.size()) return true;
-          for (size_t i = 0; i < bound.size(); ++i) {
-            if (path[pos + i] != bound[i]) return true;
-          }
+          if (!path.Sub(pos, bound.size()).SameValues(bound)) return true;
           return Match(items, item_idx + 1, path, pos + bound.size(), v, next);
         }
         // Try all split lengths, shortest first. An upper bound comes from
@@ -105,8 +121,7 @@ class Matcher {
         if (reserve > remaining) return true;
         for (size_t len = fixed ? remaining - reserve : 0;
              len <= remaining - reserve; ++len) {
-          PathId sub = u_.InternPath(path.subspan(pos, len));
-          v.Bind(it.var, sub);
+          v.Bind(it.var, path.Sub(pos, len));
           bool cont = Match(items, item_idx + 1, path, pos + len, v, next);
           v.Unbind(it.var);
           if (!cont) return false;
@@ -114,8 +129,8 @@ class Matcher {
         return true;
       }
       case ExprItem::Kind::kPack: {
-        if (pos >= path.size() || !path[pos].is_packed()) return true;
-        std::span<const Value> inner = u_.GetPath(path[pos].packed_path());
+        if (pos >= path.size() || !path.values[pos].is_packed()) return true;
+        Slice inner = Slice::Of(u_, path.values[pos].packed_path());
         // Match the packed subexpression against the packed path, then
         // continue with the remaining outer items.
         auto continue_outer = [&](Valuation& v2) {
@@ -143,7 +158,7 @@ class Matcher {
           break;
         case ExprItem::Kind::kPathVar:
           if (v.IsBound(it.var)) {
-            n += u_.PathLength(v.Get(it.var));
+            n += v.Get(it.var).size();
           } else {
             *fixed = false;
           }
@@ -153,33 +168,31 @@ class Matcher {
     return n;
   }
 
-  Universe& u_;
+  const Universe& u_;
 };
 
 }  // namespace
 
-bool MatchExpr(Universe& u, const PathExpr& e, PathId p, Valuation& base,
-               const std::function<bool(Valuation&)>& cb) {
-  Matcher m(u);
-  std::span<const Value> path = u.GetPath(p);
-  return m.Match(e.items, 0, path, 0, base, cb);
+bool MatchExpr(const Universe& u, const PathExpr& e, Slice p, Valuation& base,
+               MatchCallback cb) {
+  return Matcher(u).Match(e.items, 0, p, 0, base, cb);
 }
 
 namespace {
-bool MatchArgsFrom(Universe& u, const std::vector<PathExpr>& args,
+bool MatchArgsFrom(const Universe& u, const std::vector<PathExpr>& args,
                    const std::vector<PathId>& tuple, size_t idx,
-                   Valuation& v, const std::function<bool(Valuation&)>& cb) {
+                   Valuation& v, MatchCallback cb) {
   if (idx == args.size()) return cb(v);
   auto next = [&](Valuation& v2) {
     return MatchArgsFrom(u, args, tuple, idx + 1, v2, cb);
   };
-  return MatchExpr(u, args[idx], tuple[idx], v, next);
+  return MatchExpr(u, args[idx], Slice::Of(u, tuple[idx]), v, next);
 }
 }  // namespace
 
-bool MatchArgs(Universe& u, const std::vector<PathExpr>& args,
+bool MatchArgs(const Universe& u, const std::vector<PathExpr>& args,
                const std::vector<PathId>& tuple, Valuation& base,
-               const std::function<bool(Valuation&)>& cb) {
+               MatchCallback cb) {
   assert(args.size() == tuple.size());
   return MatchArgsFrom(u, args, tuple, 0, base, cb);
 }

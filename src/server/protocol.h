@@ -88,8 +88,9 @@ enum class MsgType : uint8_t {
 /// Version of the frame/message encoding described above. Bumped on any
 /// incompatible change; exchanged via kHello so mismatched peers fail
 /// with a structured error instead of misdecoding each other's frames.
-/// Version 2: run replies carry every EvalStats counter.
-constexpr uint32_t kWireVersion = 2;
+/// Version 2: run replies carry every EvalStats counter. Version 3: adds
+/// path_interns.
+constexpr uint32_t kWireVersion = 3;
 
 /// "compile" / "run" / ... for logs and errors.
 const char* MsgTypeToString(MsgType type);

@@ -123,26 +123,76 @@ size_t Universe::num_atoms() const {
   return atom_names_.size();
 }
 
+PathId Universe::LookupLocked(const PathShard& s, uint32_t hash,
+                              std::span<const Value> values, size_t* slot) {
+  const size_t mask = s.index.size() - 1;
+  size_t i = hash & mask;
+  for (; s.index[i].id_plus_one != 0; i = (i + 1) & mask) {
+    const IndexSlot& entry = s.index[i];
+    if (entry.hash != hash) continue;
+    // Compare against the stored path itself; under mu the block pointer
+    // and entry are this shard's own writes.
+    const uint32_t local = (entry.id_plus_one - 1) >> kPathShardBits;
+    const uint32_t b = BlockOf(local);
+    const std::vector<Value>& stored =
+        s.blocks[b].load(std::memory_order_relaxed)[OffsetOf(local, b)];
+    if (std::ranges::equal(stored, values)) return entry.id_plus_one - 1;
+  }
+  *slot = i;
+  return kNoPath;
+}
+
+std::atomic<PathId>* Universe::SingletonSlot(
+    std::span<const Value> values) const {
+  if (values.size() != 1 || !values[0].is_atom()) return nullptr;
+  const AtomId a = values[0].atom();
+  const uint32_t b = BlockOf(a);
+  std::atomic<PathId>* block =
+      b < kMaxBlocks ? singleton_blocks_[b].load(std::memory_order_acquire)
+                     : nullptr;
+  return block == nullptr ? nullptr : &block[OffsetOf(a, b)];
+}
+
+PathId Universe::FindPath(std::span<const Value> values) const {
+  if (values.empty()) return kEmptyPath;
+  // InternPath fills a one-atom path's slot; an empty slot may still be
+  // racing that store, so it falls through to the index.
+  const std::atomic<PathId>* singleton = SingletonSlot(values);
+  const PathId known =
+      singleton ? singleton->load(std::memory_order_acquire) : kEmptyPath;
+  if (known != kEmptyPath) return known;
+  const size_t h = HashPath(values);
+  PathShard& s = path_shards_[h & (kPathShards - 1)];
+  std::lock_guard<std::mutex> lock(s.mu);
+  size_t slot;
+  return LookupLocked(s, static_cast<uint32_t>(h >> kPathShardBits), values,
+                      &slot);
+}
+
 PathId Universe::InternPath(std::span<const Value> values) {
   if (values.empty()) return kEmptyPath;
+  std::atomic<PathId>* singleton = SingletonSlot(values);
+  if (singleton == nullptr) return InternIndexed(values);
+  // Racing fillers all intern the same id; the release store makes the
+  // path entry visible to whoever reads the slot next.
+  PathId id = singleton->load(std::memory_order_acquire);
+  if (id == kEmptyPath) {
+    id = InternIndexed(values);
+    singleton->store(id, std::memory_order_release);
+  }
+  return id;
+}
+
+PathId Universe::InternIndexed(std::span<const Value> values) {
   const size_t h = HashPath(values);
   const uint32_t shard = static_cast<uint32_t>(h) & (kPathShards - 1);
   // The slot hash drops the shard bits, which are equal within a shard.
   const uint32_t hash = static_cast<uint32_t>(h >> kPathShardBits);
   PathShard& s = path_shards_[shard];
   std::lock_guard<std::mutex> lock(s.mu);
-  size_t mask = s.index.size() - 1;
-  size_t i = hash & mask;
-  for (; s.index[i].id_plus_one != 0; i = (i + 1) & mask) {
-    const IndexSlot& slot = s.index[i];
-    if (slot.hash != hash) continue;
-    // Compare against the stored path itself; under mu the block pointer
-    // and entry are this shard's own writes.
-    const uint32_t local = (slot.id_plus_one - 1) >> kPathShardBits;
-    const uint32_t b = BlockOf(local);
-    const std::vector<Value>& stored =
-        s.blocks[b].load(std::memory_order_relaxed)[OffsetOf(local, b)];
-    if (std::ranges::equal(stored, values)) return slot.id_plus_one - 1;
+  size_t i;
+  if (PathId found = LookupLocked(s, hash, values, &i); found != kNoPath) {
+    return found;
   }
   const uint32_t local = s.size;
   if (local >= kMaxPathsPerShard) AbortFull("path shard", local);
@@ -161,7 +211,7 @@ PathId Universe::InternPath(std::span<const Value> values) {
   s.published_size.store(s.size, std::memory_order_relaxed);
   if (2 * static_cast<size_t>(s.size) > s.index.size()) {
     GrowIndex(s);
-    mask = s.index.size() - 1;
+    const size_t mask = s.index.size() - 1;
     i = hash & mask;
     while (s.index[i].id_plus_one != 0) i = (i + 1) & mask;
   }
@@ -209,27 +259,6 @@ PathId Universe::SubPath(PathId p, size_t start, size_t len) {
   std::span<const Value> a = GetPath(p);
   assert(start + len <= a.size());
   return InternPath(a.subspan(start, len));
-}
-
-PathId Universe::SingletonPath(Value v) {
-  if (v.is_atom()) {
-    const AtomId a = v.atom();
-    const uint32_t b = BlockOf(a);
-    std::atomic<PathId>* block =
-        b < kMaxBlocks ? singleton_blocks_[b].load(std::memory_order_acquire)
-                       : nullptr;
-    if (block != nullptr) {
-      std::atomic<PathId>& slot = block[OffsetOf(a, b)];
-      PathId id = slot.load(std::memory_order_acquire);
-      if (id != kEmptyPath) return id;
-      // Racing fillers all intern the same id; the release store makes the
-      // path entry visible to whoever reads the slot next.
-      id = InternPath(std::span<const Value>(&v, 1));
-      slot.store(id, std::memory_order_release);
-      return id;
-    }
-  }
-  return InternPath(std::span<const Value>(&v, 1));
 }
 
 bool Universe::IsFlatValue(Value v) const { return v.is_atom(); }

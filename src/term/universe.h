@@ -9,8 +9,14 @@
 // guarded by the shard's mutex, and the paths themselves live once, in
 // append-only block storage published with release stores, so GetPath
 // never takes a lock and a lookup that hits allocates nothing. One-atom
-// paths — the matcher's @var bindings — skip the index altogether:
-// SingletonPath reads a lock-free per-atom slot filled on first use. The
+// paths — @var keys and heads — skip the index once resolved: a lock-free
+// per-atom slot remembers their id.
+//
+// InternPath inserts; FindPath only looks up, answering kNoPath for a path
+// that is not interned. The engine's executor interns only what a run
+// derives (head values and packed values) and resolves probe keys and
+// negated tuples with FindPath: a path that is not interned occurs in no
+// stored tuple, so such a lookup never grows the Universe. The
 // (much colder) atom/variable/relation tables are guarded by one
 // shared_mutex each (lookups take shared locks, interning exclusive ones)
 // and hand out references into std::deque storage, which never relocates
@@ -75,6 +81,9 @@ class Universe {
   /// span maps to kEmptyPath. Thread-safe; equal contents always intern to
   /// the same id regardless of which thread got there first.
   PathId InternPath(std::span<const Value> values);
+  /// The id of the path consisting of `values` if it is interned, else
+  /// kNoPath; never inserts (see the file comment).
+  PathId FindPath(std::span<const Value> values) const;
   /// The values of an interned path. Lock-free: resolves through the
   /// shard's published block storage; the returned span stays valid for
   /// the Universe's lifetime (interned paths are immutable).
@@ -88,9 +97,8 @@ class Universe {
   PathId Append(PathId p, Value v);
   /// The contiguous subpath [start, start+len).
   PathId SubPath(PathId p, size_t start, size_t len);
-  /// A one-value path. Lock-free for interned atoms once their slot is
-  /// filled; packed values go through InternPath.
-  PathId SingletonPath(Value v);
+  /// A one-value path.
+  PathId SingletonPath(Value v) { return InternPath({&v, 1}); }
 
   /// True iff the path contains no packed value at any nesting depth.
   bool IsFlatPath(PathId p) const;
@@ -191,6 +199,14 @@ class Universe {
   static uint32_t BlockCapacity(uint32_t block);
   /// Doubles `s`'s index and reinserts every slot; the caller holds s.mu.
   static void GrowIndex(PathShard& s);
+  /// The id of `values` (slot hash `hash`) in `s`, or kNoPath with
+  /// `*slot` at the free slot it would take; the caller holds s.mu.
+  static PathId LookupLocked(const PathShard& s, uint32_t hash,
+                             std::span<const Value> values, size_t* slot);
+  /// InternPath through the shard's hash-cons index.
+  PathId InternIndexed(std::span<const Value> values);
+  /// The singleton slot of a one-atom path, else nullptr.
+  std::atomic<PathId>* SingletonSlot(std::span<const Value> values) const;
 
   // Unlocked variants; the caller holds the corresponding mutex.
   AtomId InternAtomLocked(std::string_view name);
@@ -205,9 +221,9 @@ class Universe {
 
   mutable std::shared_mutex atom_mu_;
   std::deque<std::string> atom_names_;
-  /// Per-AtomId singleton path, kEmptyPath until SingletonPath first
-  /// interns it. Blocks are allocated under atom_mu_ as atoms are interned
-  /// and release-published; slots are read and filled without a lock.
+  /// Per-AtomId singleton path, kEmptyPath until InternPath first interns
+  /// it. Blocks are allocated under atom_mu_ as atoms are interned and
+  /// release-published; slots are read and filled without a lock.
   std::array<std::atomic<std::atomic<PathId>*>, kMaxBlocks> singleton_blocks_{};
   std::unordered_map<std::string, AtomId> atom_ids_;
   uint32_t fresh_atom_counter_ = 0;

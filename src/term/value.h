@@ -27,6 +27,10 @@ using PathId = uint32_t;
 /// The empty path's id in every Universe.
 inline constexpr PathId kEmptyPath = 0;
 
+/// Never a valid PathId (ids fit Value's 31-bit payload): "this path is
+/// not interned", e.g. Universe::FindPath's answer for an unknown path.
+inline constexpr PathId kNoPath = 0xffffffffu;
+
 /// A single value: an atomic value or a packed value <p>.
 class Value {
  public:

@@ -89,7 +89,7 @@ size_t CountMatches(Universe& u, const std::string& expr,
   EXPECT_TRUE(p.ok());
   size_t count = 0;
   Valuation v;
-  MatchExpr(u, e, *p, v, [&count](Valuation&) {
+  MatchExpr(u, e, Slice::Of(u, *p), v, [&count](Valuation&) {
     ++count;
     return true;
   });
@@ -136,18 +136,28 @@ TEST(MatchTest, SharedVariableAcrossPackBoundary) {
   EXPECT_EQ(CountMatches(u, "$x ++ <$x>", "a ++ <b>"), 0u);
 }
 
+std::vector<Value> Values(Universe& u, std::string_view chars) {
+  std::span<const Value> p = u.GetPath(u.PathOfChars(chars));
+  return {p.begin(), p.end()};
+}
+
 TEST(MatchTest, PreboundVariableConstrains) {
   Universe u;
   PathExpr e = MustExpr(u, "$x ++ $y");
   PathId p = u.PathOfChars("ab");
   Valuation v;
-  v.Bind(u.InternVar(VarKind::kPath, "x"), u.PathOfChars("a"));
+  v.Bind(u.InternVar(VarKind::kPath, "x"), Slice::Of(u, u.PathOfChars("a")));
+  VarId y = u.InternVar(VarKind::kPath, "y");
+  std::vector<Value> b = Values(u, "b");
   size_t count = 0;
-  MatchExpr(u, e, p, v, [&count](Valuation&) {
+  size_t before = u.num_paths();
+  MatchExpr(u, e, Slice::Of(u, p), v, [&](Valuation& nu) {
     ++count;
+    EXPECT_TRUE(std::ranges::equal(nu.Get(y).values, b));
     return true;
   });
   EXPECT_EQ(count, 1u);
+  EXPECT_EQ(u.num_paths(), before);
 }
 
 TEST(MatchTest, EarlyStopViaCallback) {
@@ -156,7 +166,7 @@ TEST(MatchTest, EarlyStopViaCallback) {
   PathId p = u.PathOfChars("abcd");
   Valuation v;
   size_t count = 0;
-  bool completed = MatchExpr(u, e, p, v, [&count](Valuation&) {
+  bool completed = MatchExpr(u, e, Slice::Of(u, p), v, [&count](Valuation&) {
     ++count;
     return count < 2;
   });
@@ -165,8 +175,9 @@ TEST(MatchTest, EarlyStopViaCallback) {
 }
 
 // The split rule: a path variable followed by no unbound path variable
-// has one feasible length, so matching binds it to exactly that subpath
-// instead of interning every candidate prefix.
+// has one feasible length, so matching binds it to exactly that slice.
+// Bindings are slices of the matched path: nothing is interned, and a
+// variable bound to the whole path keeps the path's id.
 TEST(MatchTest, LastPathVariableInternsOnlyTheFeasibleSplit) {
   Universe u;
   constexpr size_t kLen = 12;
@@ -175,20 +186,19 @@ TEST(MatchTest, LastPathVariableInternsOnlyTheFeasibleSplit) {
     values.push_back(Value::Atom(u.InternAtom("v" + std::to_string(i))));
   }
   PathId p = u.InternPath(values);
-  PathId first = u.SingletonPath(values[0]);
   VarId a = u.InternVar(VarKind::kAtomic, "a");
   VarId y = u.InternVar(VarKind::kPath, "y");
   VarId z = u.InternVar(VarKind::kPath, "z");
 
   auto match = [&](const std::string& text,
-                   std::vector<std::vector<PathId>>* got) {
+                   std::vector<std::vector<Slice>>* got) {
     PathExpr e = MustExpr(u, text);
     size_t before = u.num_paths();
     Valuation v;
-    MatchExpr(u, e, p, v, [&](Valuation& nu) {
-      std::vector<PathId> row;
+    MatchExpr(u, e, Slice::Of(u, p), v, [&](Valuation& nu) {
+      std::vector<Slice> row;
       for (VarId var : {a, y, z}) {
-        row.push_back(nu.IsBound(var) ? nu.Get(var) : kEmptyPath);
+        row.push_back(nu.IsBound(var) ? nu.Get(var) : Slice{{}, kEmptyPath});
       }
       got->push_back(row);
       return true;
@@ -196,16 +206,18 @@ TEST(MatchTest, LastPathVariableInternsOnlyTheFeasibleSplit) {
     return u.num_paths() - before;
   };
 
-  std::vector<std::vector<PathId>> got;
-  EXPECT_LE(match("@a ++ $y", &got), 1u);
+  std::span<const Value> all(values);
+  std::vector<std::vector<Slice>> got;
+  EXPECT_EQ(match("@a ++ $y", &got), 0u);
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0][0], first);
-  EXPECT_EQ(got[0][1], u.SubPath(p, 1, kLen - 1));
+  EXPECT_TRUE(std::ranges::equal(got[0][0].values, all.first(1)));
+  EXPECT_TRUE(std::ranges::equal(got[0][1].values, all.subspan(1)));
 
   got.clear();
   EXPECT_EQ(match("$z", &got), 0u);  // the whole path is already interned
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0][2], p);
+  EXPECT_TRUE(std::ranges::equal(got[0][2].values, all));
+  EXPECT_EQ(got[0][2].id, p);
 }
 
 // Where a later unbound path variable still shares the remainder, every
@@ -224,11 +236,134 @@ TEST(MatchTest, SplitRuleKeepsEnumeratingOpenSplits) {
 
 TEST(MatchTest, EvalExprBuildsPacks) {
   Universe u;
+  PathId ab = u.PathOfChars("ab");
   Valuation v;
-  v.Bind(u.InternVar(VarKind::kPath, "x"), u.PathOfChars("ab"));
-  Result<PathId> p = EvalExpr(u, MustExpr(u, "c ++ <$x>"), v);
+  v.Bind(u.InternVar(VarKind::kPath, "x"), Slice::Of(u, ab));
+  PathExpr e = MustExpr(u, "c ++ <$x>");
+  size_t before = u.num_paths();
+  SliceEvaluator eval(u);
+  Result<Slice> s = eval.Eval(e, v);
+  ASSERT_TRUE(s.ok());
+  std::vector<Value> want = {Value::Atom(u.InternAtom("c")),
+                             Value::Packed(ab)};
+  EXPECT_TRUE(std::ranges::equal(s->values, want));
+  EXPECT_EQ(s->id, kNoPath);
+  // The pack reuses $x's id, and c·<a·b> itself is not interned.
+  EXPECT_EQ(eval.interns(), 0u);
+  EXPECT_EQ(u.num_paths(), before);
+  EXPECT_EQ(u.FindPath(s->values), kNoPath);
+
+  Result<PathId> p = EvalExpr(u, e, v);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(u.FormatPath(*p), "c·<a·b>");
+  EXPECT_EQ(u.FindPath(want), *p);
+}
+
+// Runs `program` over `input` into `*out`; returns the run's statistics.
+EvalStats RunWithStats(Universe& u, const std::string& program,
+                       const Instance& input, Instance* out) {
+  EvalStats stats;
+  Result<Instance> r = Eval(u, MustParse(u, program), input, {}, &stats);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok()) *out = std::move(r).value();
+  return stats;
+}
+
+// Both sides of an equation are evaluated into scratch and compared as
+// slices; with one side bound, the other is matched against the
+// evaluated slice, so its variables bind into scratch.
+TEST(MatchTest, EquationsCompareAndMatchSlices) {
+  Universe u;
+  Instance in = MustInstance(u, "R(a). R(b). R(a ++ a). R(a ++ c).");
+  Instance out;
+  size_t before = u.num_paths();
+  EvalStats stats = RunWithStats(
+      u, "S($x, $y) <- R($x), R($y), $x ++ a ++ $y = $y ++ a ++ $x.", in,
+      &out);
+  RelId s = *u.FindRel("S");
+  // Equal sides: x = y, or both made of a's (a·a·a·a for (a, a·a)).
+  EXPECT_EQ(out.Tuples(s).size(), 6u);
+  EXPECT_TRUE(out.Contains(s, {u.PathOfChars("a"), u.PathOfChars("aa")}));
+  EXPECT_TRUE(out.Contains(s, {u.PathOfChars("aa"), u.PathOfChars("a")}));
+  EXPECT_FALSE(out.Contains(s, {u.PathOfChars("a"), u.PathOfChars("b")}));
+  EXPECT_EQ(stats.path_interns, 0u);
+  EXPECT_EQ(u.num_paths(), before);
+
+  stats = RunWithStats(u, "T($y) <- R($x), $x ++ b = a ++ $y.", in, &out);
+  RelId t = *u.FindRel("T");
+  EXPECT_EQ(out.Tuples(t).size(), 3u);  // b, a·b, c·b
+  EXPECT_TRUE(out.Contains(t, {u.PathOfChars("b")}));
+  EXPECT_TRUE(out.Contains(t, {u.PathOfChars("ab")}));
+  EXPECT_TRUE(out.Contains(t, {u.PathOfChars("cb")}));
+}
+
+// A negated literal over a concatenation that no stored path equals
+// looks it up without interning it: the negation holds and the Universe
+// does not grow.
+TEST(MatchTest, NegationOverUninternedConcatenation) {
+  Universe u;
+  Instance in = MustInstance(u, "P(a). P(b). Q(c). R(a ++ c).");
+  std::vector<Value> bc = Values(u, "b");
+  bc.push_back(Values(u, "c")[0]);
+  ASSERT_EQ(u.FindPath(bc), kNoPath);
+  size_t before = u.num_paths();
+  Instance out;
+  EvalStats stats =
+      RunWithStats(u, "S($x, $y) <- P($x), Q($y), !R($x ++ $y).", in, &out);
+  RelId s = *u.FindRel("S");
+  ASSERT_EQ(out.Tuples(s).size(), 1u);
+  EXPECT_TRUE(out.Contains(s, {u.PathOfChars("b"), u.PathOfChars("c")}));
+  EXPECT_EQ(stats.path_interns, 0u);
+  EXPECT_EQ(u.num_paths(), before);
+  EXPECT_EQ(u.FindPath(bc), kNoPath);
+}
+
+// A variable bound inside a pack is the packed path itself, id included,
+// and constrains its uses outside the pack.
+TEST(MatchTest, PackBindingReusedOutsideThePack) {
+  Universe u;
+  EXPECT_EQ(CountMatches(u, "<$x> ++ $x", "<a ++ b> ++ a"), 0u);
+  Result<PathId> p = EvalGroundExpr(u, MustExpr(u, "<a ++ b> ++ a ++ b"));
+  ASSERT_TRUE(p.ok());
+  PathId ab = u.PathOfChars("ab");
+  VarId x = u.InternVar(VarKind::kPath, "x");
+  std::vector<Value> ab_values = Values(u, "ab");
+  size_t count = 0;
+  Valuation v;
+  MatchExpr(u, MustExpr(u, "<$x> ++ $x"), Slice::Of(u, *p), v,
+            [&](Valuation& nu) {
+              ++count;
+              EXPECT_EQ(nu.Get(x).id, ab);
+              EXPECT_TRUE(std::ranges::equal(nu.Get(x).values, ab_values));
+              return true;
+            });
+  EXPECT_EQ(count, 1u);
+
+  Instance in = MustInstance(u, "R(<a ++ b> ++ a ++ b). R(<a> ++ b).");
+  size_t before = u.num_paths();
+  Instance out;
+  EvalStats stats = RunWithStats(u, "S($x) <- R(<$x> ++ $x).", in, &out);
+  RelId s = *u.FindRel("S");
+  ASSERT_EQ(out.Tuples(s).size(), 1u);
+  EXPECT_TRUE(out.Contains(s, {ab}));
+  EXPECT_EQ(stats.path_interns, 0u);
+  EXPECT_EQ(u.num_paths(), before);
+}
+
+// A derived path over max_path_length is rejected before it is interned,
+// so the failed run leaves no over-long path behind.
+TEST(MatchTest, OverlongHeadIsRejectedBeforeInterning) {
+  Universe u;
+  Instance in = MustInstance(u, "T(a).");
+  RunOptions opts;
+  opts.max_path_length = 8;
+  Result<Instance> r =
+      Eval(u, MustParse(u, "T($x ++ $x) <- T($x)."), in, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  std::vector<Value> a16(16, Values(u, "a")[0]);
+  EXPECT_NE(u.FindPath(std::span<const Value>(a16).first(8)), kNoPath);
+  EXPECT_EQ(u.FindPath(a16), kNoPath);
 }
 
 // --- Evaluation of the paper's examples ---------------------------------------
@@ -573,6 +708,81 @@ TEST(EvalTest, DoubleThenUndoubleIsIdentity) {
   // And the doubled relation contains the doubled paths.
   RelId rd = *u2.FindRel("Rd");
   EXPECT_TRUE(out->Contains(rd, {u2.PathOfChars("aabbcc")}));
+}
+
+// --- Interning budget --------------------------------------------------------
+
+// The three program families of the end-to-end benchmark's cold stream
+// over one fixed-seed event log: Example 2.1's NFA, the process-mining
+// query and an Example 3.1 equation filter. A run interns only the head
+// values it derives (and packed values, which these programs lack), so
+// interning is bounded by the firings, a pass-through head interns
+// nothing, and matching, probe keys and negated lookups never grow the
+// Universe.
+TEST(InternBudgetTest, RunsInternOnlyHeadValues) {
+  struct Family {
+    const char* name;
+    const char* program;
+    uint64_t max_head_arity;
+    const char* output;
+    bool pass_through;  // every head passes a stored value through
+  };
+  const Family families[] = {
+      {"nfa",
+       "N(q0).\n"
+       "D(q0, act0, q0). D(q0, act1, q0). D(q0, act2, q0). D(q0, act3, q0).\n"
+       "D(q0, co, q0). D(q0, rp, q0).\n"
+       "D(q0, co, q1). D(q1, act2, q1). D(q1, rp, q2). D(q2, act0, q2).\n"
+       "F(q2).\n"
+       "S(@q ++ $x, eps) <- R($x), N(@q).\n"
+       "S(@q2 ++ $y, $z ++ @a) <- S(@q1 ++ @a ++ $y, $z), D(@q1, @a, @q2).\n"
+       "A($x) <- S(@q, $x), F(@q).\n",
+       2, "A", false},
+      {"process_mining",
+       "HasY($v) <- R($u ++ co ++ $v), $v = $s ++ rp ++ $t.\n"
+       "---\n"
+       "Bad($x) <- R($x), $x = $u ++ co ++ $v, !HasY($v).\n"
+       "---\n"
+       "Good($x) <- R($x), !Bad($x).\n",
+       1, "Good", false},
+      {"equation_filter",
+       "S($x) <- R($x), $x = $u ++ co ++ $v ++ rp ++ $w.\n"
+       "T($x) <- R($x), $x = $u ++ act1 ++ act2 ++ $v.\n",
+       1, "S", true},
+  };
+  for (const Family& f : families) {
+    SCOPED_TRACE(f.name);
+    Universe u;
+    EventLogWorkload w;
+    w.count = 40;
+    w.len = 12;
+    w.seed = 7;
+    Result<Instance> logs = RandomEventLogs(u, w);
+    ASSERT_TRUE(logs.ok());
+    Program p = MustParse(u, f.program);
+
+    size_t before = u.num_paths();
+    EvalStats cold;
+    Result<Instance> first = Eval(u, p, *logs, {}, &cold);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_FALSE(first->Tuples(*u.FindRel(f.output)).empty());
+    EXPECT_GT(cold.rule_firings, 0u);
+    EXPECT_LE(cold.path_interns, cold.rule_firings * f.max_head_arity);
+    // Every path the run added came from interning a head value.
+    EXPECT_LE(u.num_paths() - before, cold.path_interns);
+
+    // The same run again derives only paths the Universe already holds.
+    before = u.num_paths();
+    EvalStats warm;
+    Result<Instance> second = Eval(u, p, *logs, {}, &warm);
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(*second, *first);
+    EXPECT_EQ(u.num_paths(), before);
+    EXPECT_EQ(warm.path_interns, cold.path_interns);
+    if (f.pass_through) {
+      EXPECT_EQ(cold.path_interns, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // seqdl — command line front end for the Sequence Datalog library.
+// Each command's operands and flags are declared once, in kCommands at
+// the end of this file; an unknown or malformed flag exits 2 naming it.
 //
-//   seqdl run <program.sdl> [<instance.sdl>] [--data-dir=DIR]
-//              [--sync=always|interval|never] [--output=REL] [--naive]
-//              [--no-index] [--stats] [--explain] [--legacy-planner]
+//   seqdl run <program.sdl> [<instance.sdl>] [flags]
 //       Evaluate a program on an instance and print the facts of all
 //       IDB relations (or just --output): the instance's own facts of
 //       those relations plus the derived ones. The planner ranks access
@@ -17,10 +17,7 @@
 //       is seeded from the instance. Either way the run is the same and
 //       prints the same facts.
 //
-//   seqdl serve [<instance.sdl>] [--data-dir=DIR]
-//               [--sync=always|interval|never] [--stats] [--threads=N]
-//               [--recompile-drift=X] [--auto-compact=N] [--listen=PORT]
-//               [--admission=off|budget|strict]
+//   seqdl serve [<instance.sdl>] [flags]
 //       Load the instance into a versioned Database once, then serve it.
 //       With --data-dir the database is durable: commits are logged to a
 //       WAL before they publish (--sync picks the fsync policy), and a
@@ -72,10 +69,7 @@
 //       potentially non-terminating programs (SD301-SD303) are capped
 //       (budget) or refused (strict) — see docs/analysis.md.
 //
-//   seqdl coordinate --shards=HOST:PORT[,HOST:PORT...] [--listen=PORT]
-//               [--threads=N] [--broadcast=REL,...] [--pin=REL=SHARD,...]
-//               [--connect-timeout-ms=N] [--io-timeout-ms=N]
-//               [--cache-entries=N] [--no-forward-shutdown]
+//   seqdl coordinate --shards=HOST:PORT[,HOST:PORT...] [flags]
 //       Serve a cluster of `seqdl serve --listen` shard servers behind
 //       one endpoint speaking the same wire protocol (docs/cluster.md).
 //       Appends/retractions are hash-partitioned across the shards by
@@ -98,8 +92,7 @@
 //           shutdown                    drain and stop the server
 //       [--stats] prints the run's engine counters to stderr.
 //
-//   seqdl check <program.sdl> [--json] [--output=REL]
-//               [--admission=off|budget|strict] [--werror]
+//   seqdl check <program.sdl> [flags]
 //       The full program analyzer: parse and validation errors (SD0xx),
 //       the lint suite (SD1xx: duplicate rules/literals, singleton
 //       variables, never-fires, cross-product joins; --output=REL adds
@@ -129,6 +122,7 @@
 //   seqdl regex <pattern>
 //       Compile a regular expression to a Sequence Datalog matcher and
 //       print the program.
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -142,7 +136,9 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -232,6 +228,21 @@ std::string FlagValue(const std::vector<std::string>& args,
   return "";
 }
 
+/// Sets `*out` from the numeric flag `prefix` (e.g. "--threads=") when it
+/// is given; returns whether it was.
+template <typename T>
+bool NumericFlag(const std::vector<std::string>& args,
+                 const std::string& prefix, T* out) {
+  std::string v = FlagValue(args, prefix);
+  if (v.empty()) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    *out = static_cast<T>(std::strtod(v.c_str(), nullptr));
+  } else {
+    *out = static_cast<T>(std::strtoull(v.c_str(), nullptr, 10));
+  }
+  return true;
+}
+
 /// The positional (non `--flag`) arguments, in order.
 std::vector<std::string> PositionalArgs(const std::vector<std::string>& args) {
   std::vector<std::string> out;
@@ -240,6 +251,10 @@ std::vector<std::string> PositionalArgs(const std::vector<std::string>& args) {
   }
   return out;
 }
+
+// Prints the usage line of `command` (from its Commands() entry) to
+// stderr; returns the usage exit code, 2.
+int Usage(std::string_view command);
 
 /// Parses --sync= values (always | interval | never).
 seqdl::Result<seqdl::storage::SyncMode> ParseSyncMode(const std::string& v) {
@@ -304,15 +319,7 @@ int CmdRun(const std::vector<std::string>& args) {
   seqdl::Database::OpenOptions dbopts;
   if (!ApplyStorageFlags(args, &dbopts)) return 2;
   const bool durable = !dbopts.data_dir.empty();
-  if (pos.empty() || (pos.size() < 2 && !durable)) {
-    std::fprintf(stderr,
-                 "usage: seqdl run <program> [<instance>] [--data-dir=DIR] "
-                 "[--sync=always|interval|never] [--output=REL] [--naive] "
-                 "[--no-index] [--stats] [--explain] [--legacy-planner]\n"
-                 "(the instance is required without --data-dir; with one, "
-                 "it seeds a fresh data directory)\n");
-    return 2;
-  }
+  if (pos.empty() || (pos.size() < 2 && !durable)) return Usage("run");
   seqdl::Universe u;
   auto program_text = ReadFile(pos[0]);
   if (!program_text.ok()) return Fail(program_text.status());
@@ -456,60 +463,39 @@ class ServeLoop {
     queue_cv_.notify_one();
   }
 
-  void Append(const std::string& path) {
+  // `append` / `retract <instance>`: one epoch-bumping write. Naming the
+  // source turns a malformed fact into a structured "<path>:line:col: ..."
+  // error instead of a bare parse error.
+  void Write(const std::string& path, bool retract) {
     auto text = ReadFile(path);
     if (!text.ok()) {
       std::lock_guard<std::mutex> lock(io_mu_);
       Fail(text.status());
       return;
     }
-    seqdl::protocol::AppendRequest req;
-    req.facts = std::move(*text);
-    // Naming the source turns a malformed fact into a structured
-    // "<path>:line:col: ..." error instead of a bare parse error.
-    req.source_name = path;
-    auto reply = service_.Append(req);
-    if (!reply.ok()) {
+    auto report = [&](const auto& reply, uint64_t changed) {
       std::lock_guard<std::mutex> lock(io_mu_);
-      FailDiag(path, reply.status());
-      return;
+      if (!reply.ok()) {
+        FailDiag(path, reply.status());
+        return;
+      }
+      std::fprintf(stderr,
+                   "-- %s %s (%llu %sfacts): epoch %llu, %llu segments, "
+                   "%llu facts total\n",
+                   retract ? "retracted" : "appended", path.c_str(),
+                   static_cast<unsigned long long>(changed),
+                   retract ? "" : "new ",
+                   static_cast<unsigned long long>(reply->db.epoch),
+                   static_cast<unsigned long long>(reply->db.segments),
+                   static_cast<unsigned long long>(reply->db.facts));
+    };
+    if (retract) {
+      auto reply = service_.Retract({std::move(*text), path});
+      report(reply, reply.ok() ? reply->retracted : 0);
+    } else {
+      auto reply = service_.Append({std::move(*text), path});
+      report(reply, reply.ok() ? reply->appended : 0);
     }
-    std::lock_guard<std::mutex> lock(io_mu_);
-    std::fprintf(stderr,
-                 "-- appended %s (%llu new facts): epoch %llu, %llu "
-                 "segments, %llu facts total\n",
-                 path.c_str(),
-                 static_cast<unsigned long long>(reply->appended),
-                 static_cast<unsigned long long>(reply->db.epoch),
-                 static_cast<unsigned long long>(reply->db.segments),
-                 static_cast<unsigned long long>(reply->db.facts));
-  }
-
-  void Retract(const std::string& path) {
-    auto text = ReadFile(path);
-    if (!text.ok()) {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      Fail(text.status());
-      return;
-    }
-    seqdl::protocol::RetractRequest req;
-    req.facts = std::move(*text);
-    req.source_name = path;
-    auto reply = service_.Retract(req);
-    if (!reply.ok()) {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      FailDiag(path, reply.status());
-      return;
-    }
-    std::lock_guard<std::mutex> lock(io_mu_);
-    std::fprintf(stderr,
-                 "-- retracted %s (%llu facts): epoch %llu, %llu "
-                 "segments, %llu facts total\n",
-                 path.c_str(),
-                 static_cast<unsigned long long>(reply->retracted),
-                 static_cast<unsigned long long>(reply->db.epoch),
-                 static_cast<unsigned long long>(reply->db.segments),
-                 static_cast<unsigned long long>(reply->db.facts));
   }
 
   void Epoch() {
@@ -632,40 +618,20 @@ class ServeLoop {
 };
 
 int CmdServe(const std::vector<std::string>& args) {
-  const char* usage =
-      "usage: seqdl serve [<instance>] [--data-dir=DIR] "
-      "[--sync=always|interval|never] [--stats] [--threads=N] "
-      "[--recompile-drift=X] [--auto-compact=N] [--cache-bytes=N] "
-      "[--listen=PORT] [--admission=off|budget|strict]\n"
-      "(the instance is required without --data-dir, and when "
-      "initializing a fresh data directory it seeds the EDB)\n";
   std::vector<std::string> pos = PositionalArgs(args);
   std::string data_dir = FlagValue(args, "--data-dir=");
-  if (pos.empty() && data_dir.empty()) {
-    std::fprintf(stderr, "%s", usage);
-    return 2;
-  }
+  if (pos.empty() && data_dir.empty()) return Usage("serve");
   bool stats_on = HasFlag(args, "--stats");
-  bool listen_mode = false;
   uint16_t listen_port = 0;
-  if (std::string v = FlagValue(args, "--listen="); !v.empty()) {
-    listen_mode = true;
-    listen_port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-  }
+  const bool listen_mode = NumericFlag(args, "--listen=", &listen_port);
   size_t threads = listen_mode ? 4 : 1;
-  if (std::string v = FlagValue(args, "--threads="); !v.empty()) {
-    threads = std::strtoull(v.c_str(), nullptr, 10);
-    if (threads == 0) threads = 1;
-  }
+  NumericFlag(args, "--threads=", &threads);
+  threads = std::max<size_t>(threads, 1);
   double recompile_drift = 0.25;
-  if (std::string v = FlagValue(args, "--recompile-drift="); !v.empty()) {
-    recompile_drift = std::strtod(v.c_str(), nullptr);
-  }
+  NumericFlag(args, "--recompile-drift=", &recompile_drift);
   seqdl::Database::OpenOptions dbopts;
   dbopts.auto_compact_segments = 8;
-  if (std::string v = FlagValue(args, "--auto-compact="); !v.empty()) {
-    dbopts.auto_compact_segments = std::strtoull(v.c_str(), nullptr, 10);
-  }
+  NumericFlag(args, "--auto-compact=", &dbopts.auto_compact_segments);
   if (!ApplyStorageFlags(args, &dbopts)) return 2;
 
   seqdl::Universe u;
@@ -702,9 +668,7 @@ int CmdServe(const std::vector<std::string>& args) {
   sopts.recompile_drift = recompile_drift;
   // Byte budget for the maintained-view/result cache (rendered output
   // plus materialized IDBs); LRU entries are evicted past it.
-  if (std::string v = FlagValue(args, "--cache-bytes="); !v.empty()) {
-    sopts.cache_bytes = std::strtoull(v.c_str(), nullptr, 10);
-  }
+  NumericFlag(args, "--cache-bytes=", &sopts.cache_bytes);
   // Admission control for untrusted programs (docs/analysis.md): off
   // runs everything (trusted clients, the default), budget caps runs of
   // potentially non-terminating programs, strict refuses them.
@@ -787,24 +751,14 @@ int CmdServe(const std::vector<std::string>& args) {
       loop.Compact();
       continue;
     }
-    if (cmd == "append") {
+    if (cmd == "append" || cmd == "retract") {
       std::string path;
       words >> path;
       if (path.empty()) {
-        std::fprintf(stderr, "usage: append <instance>\n");
-        continue;
+        std::fprintf(stderr, "usage: %s <instance>\n", cmd.c_str());
+      } else {
+        loop.Write(path, cmd == "retract");
       }
-      loop.Append(path);
-      continue;
-    }
-    if (cmd == "retract") {
-      std::string path;
-      words >> path;
-      if (path.empty()) {
-        std::fprintf(stderr, "usage: retract <instance>\n");
-        continue;
-      }
-      loop.Retract(path);
       continue;
     }
     if (cmd != "run") {
@@ -829,16 +783,8 @@ int CmdServe(const std::vector<std::string>& args) {
 // `seqdl query --connect=` works against a cluster exactly as against a
 // single server. See docs/cluster.md.
 int CmdCoordinate(const std::vector<std::string>& args) {
-  const char* usage =
-      "usage: seqdl coordinate --shards=HOST:PORT[,HOST:PORT...] "
-      "[--listen=PORT] [--threads=N] [--broadcast=REL[,REL...]] "
-      "[--pin=REL=SHARD[,REL=SHARD...]] [--connect-timeout-ms=N] "
-      "[--io-timeout-ms=N] [--cache-entries=N] [--no-forward-shutdown]\n";
+  // main checked that --shards= is given.
   std::string shards_spec = FlagValue(args, "--shards=");
-  if (shards_spec.empty()) {
-    std::fprintf(stderr, "%s", usage);
-    return 2;
-  }
   auto shards = seqdl::ParseShardList(shards_spec);
   if (!shards.ok()) return Fail(shards.status());
 
@@ -863,26 +809,14 @@ int CmdCoordinate(const std::vector<std::string>& args) {
           std::strtoul(pin.c_str() + eq + 1, nullptr, 10));
     }
   }
-  if (std::string v = FlagValue(args, "--connect-timeout-ms="); !v.empty()) {
-    copts.connect_timeout_ms =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-  }
-  if (std::string v = FlagValue(args, "--io-timeout-ms="); !v.empty()) {
-    copts.io_timeout_ms =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-  }
-  if (std::string v = FlagValue(args, "--cache-entries="); !v.empty()) {
-    copts.result_cache_entries = std::strtoull(v.c_str(), nullptr, 10);
-  }
+  NumericFlag(args, "--connect-timeout-ms=", &copts.connect_timeout_ms);
+  NumericFlag(args, "--io-timeout-ms=", &copts.io_timeout_ms);
+  NumericFlag(args, "--cache-entries=", &copts.result_cache_entries);
   uint16_t listen_port = 0;
-  if (std::string v = FlagValue(args, "--listen="); !v.empty()) {
-    listen_port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-  }
+  NumericFlag(args, "--listen=", &listen_port);
   size_t threads = 4;
-  if (std::string v = FlagValue(args, "--threads="); !v.empty()) {
-    threads = std::strtoull(v.c_str(), nullptr, 10);
-    if (threads == 0) threads = 1;
-  }
+  NumericFlag(args, "--threads=", &threads);
+  threads = std::max<size_t>(threads, 1);
 
   seqdl::Universe u;
   size_t num_shards = shards->size();
@@ -917,30 +851,16 @@ int CmdCoordinate(const std::vector<std::string>& args) {
 // Client for a `seqdl serve --listen` server: ships program/fact texts
 // over the wire protocol and prints the replies.
 int CmdQuery(const std::vector<std::string>& args) {
-  const char* usage =
-      "usage: seqdl query --connect=HOST:PORT "
-      "<run <program> [REL] | compile <program> | append <instance> | "
-      "retract <instance> | epoch | compact | stats | shutdown> "
-      "[--stats]\n";
   std::string endpoint = FlagValue(args, "--connect=");
   size_t colon = endpoint.rfind(':');
-  if (endpoint.empty() || colon == std::string::npos) {
-    std::fprintf(stderr, "%s", usage);
-    return 2;
-  }
+  if (colon == std::string::npos) return Usage("query");
   std::string host = endpoint.substr(0, colon);
   uint16_t port = static_cast<uint16_t>(
       std::strtoul(endpoint.c_str() + colon + 1, nullptr, 10));
 
   // The first non-flag argument is the command; the rest are operands.
-  std::vector<std::string> words;
-  for (const std::string& a : args) {
-    if (a.rfind("--", 0) != 0) words.push_back(a);
-  }
-  if (words.empty()) {
-    std::fprintf(stderr, "%s", usage);
-    return 2;
-  }
+  std::vector<std::string> words = PositionalArgs(args);
+  if (words.empty()) return Usage("query");
   const std::string& cmd = words[0];
 
   auto client = seqdl::Client::Connect(host, port);
@@ -1074,9 +994,8 @@ int CmdQuery(const std::vector<std::string>& args) {
     std::printf("server shut down\n");
     return 0;
   }
-  std::fprintf(stderr, "error: unknown query command '%s'\n%s", cmd.c_str(),
-               usage);
-  return 2;
+  std::fprintf(stderr, "error: unknown query command '%s'\n", cmd.c_str());
+  return Usage("query");
 }
 
 // The full program analyzer: parse, validation (SD0xx), lints (SD1xx),
@@ -1085,12 +1004,7 @@ int CmdQuery(const std::vector<std::string>& args) {
 // 0 clean, 1 errors (including strict-admission rejection), 2 usage/IO,
 // 4 warnings only.
 int CmdCheck(const std::vector<std::string>& args) {
-  if (args.empty() || args[0].rfind("--", 0) == 0) {
-    std::fprintf(stderr,
-                 "usage: seqdl check <program> [--json] [--output=REL] "
-                 "[--admission=off|budget|strict] [--werror]\n");
-    return 2;
-  }
+  if (args.empty() || args[0].rfind("--", 0) == 0) return Usage("check");
   const std::string& source = args[0];
   bool json = HasFlag(args, "--json");
   seqdl::AdmissionPolicy policy = seqdl::AdmissionPolicy::kBudget;
@@ -1187,11 +1101,7 @@ int CmdCheck(const std::vector<std::string>& args) {
 }
 
 int CmdTransform(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "usage: seqdl transform <program> "
-                         "--eliminate=packing|equations|arity|all\n");
-    return 2;
-  }
+  if (PositionalArgs(args).empty()) return Usage("transform");
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
   if (!text.ok()) return Fail(text.status());
@@ -1247,10 +1157,7 @@ int CmdTransform(const std::vector<std::string>& args) {
 }
 
 int CmdNormalForm(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "usage: seqdl normalform <program>\n");
-    return 2;
-  }
+  if (args.empty()) return Usage("normalform");
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
   if (!text.ok()) return Fail(text.status());
@@ -1275,10 +1182,7 @@ int CmdNormalForm(const std::vector<std::string>& args) {
 }
 
 int CmdAlgebra(const std::vector<std::string>& args) {
-  if (args.size() < 2) {
-    std::fprintf(stderr, "usage: seqdl algebra <program> <REL>\n");
-    return 2;
-  }
+  if (args.size() < 2) return Usage("algebra");
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
   if (!text.ok()) return Fail(text.status());
@@ -1303,10 +1207,7 @@ int CmdHasse(const std::vector<std::string>& args) {
 }
 
 int CmdRegex(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "usage: seqdl regex <pattern>\n");
-    return 2;
-  }
+  if (args.empty()) return Usage("regex");
   seqdl::Universe u;
   auto q = seqdl::RegexToDatalog(u, args[0]);
   if (!q.ok()) return Fail(q.status());
@@ -1316,27 +1217,121 @@ int CmdRegex(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// A subcommand and everything it accepts, declared once: main checks
+/// the arguments against it and Usage() prints it. Flags are written as
+/// the usage line shows them, `--name` for a switch and `--name=VALUE`
+/// for a flag taking a value.
+struct CommandSpec {
+  const char* name;
+  int (*run)(const std::vector<std::string>&);
+  const char* synopsis;  // operands; any --flag here is required
+  const char* flags;     // optional flags, space-separated
+  const char* note = "";
+};
+
+const CommandSpec kCommands[] = {
+    {"run", CmdRun, "<program> [<instance>]",
+     "--data-dir=DIR --sync=always|interval|never --output=REL --naive "
+     "--no-index --stats --explain --legacy-planner",
+     "(the instance is required without --data-dir; with one, it seeds a "
+     "fresh data directory)\n"},
+    {"serve", CmdServe, "[<instance>]",
+     "--data-dir=DIR --sync=always|interval|never --stats --threads=N "
+     "--recompile-drift=X --auto-compact=N --cache-bytes=N --listen=PORT "
+     "--admission=off|budget|strict",
+     "(the instance is required without --data-dir, and when initializing "
+     "a fresh data directory it seeds the EDB)\n"},
+    {"coordinate", CmdCoordinate, "--shards=HOST:PORT[,HOST:PORT...]",
+     "--listen=PORT --threads=N --broadcast=REL[,REL...] "
+     "--pin=REL=SHARD[,REL=SHARD...] --connect-timeout-ms=N "
+     "--io-timeout-ms=N --cache-entries=N --no-forward-shutdown"},
+    {"query", CmdQuery,
+     "--connect=HOST:PORT <run <program> [REL] | compile <program> | "
+     "append <instance> | retract <instance> | epoch | compact | stats | "
+     "shutdown>",
+     "--stats"},
+    {"check", CmdCheck, "<program>",
+     "--json --output=REL --admission=off|budget|strict --werror"},
+    {"transform", CmdTransform, "<program>",
+     "--eliminate=packing|equations|arity|all"},
+    {"normalform", CmdNormalForm, "<program>", ""},
+    {"algebra", CmdAlgebra, "<program> <REL>", ""},
+    {"hasse", CmdHasse, "", "--dot"},
+    {"regex", CmdRegex, "<pattern>", ""},
+};
+
+const CommandSpec* FindCommand(std::string_view name) {
+  for (const CommandSpec& c : kCommands) {
+    if (name == c.name) return &c;
+  }
+  return nullptr;
+}
+
+/// The space-separated words of `text` that start with "--".
+std::vector<std::string> FlagWords(const char* text) {
+  std::istringstream in(text);
+  std::vector<std::string> out;
+  for (std::string w; in >> w;) {
+    if (w.rfind("--", 0) == 0) out.push_back(w);
+  }
+  return out;
+}
+
+int Usage(std::string_view command) {
+  const CommandSpec& c = *FindCommand(command);
+  std::string line = std::string("usage: seqdl ") + c.name;
+  if (*c.synopsis != '\0') line += std::string(" ") + c.synopsis;
+  for (const std::string& f : FlagWords(c.flags)) line += " [" + f + "]";
+  std::fprintf(stderr, "%s\n%s", line.c_str(), c.note);
+  return 2;
+}
+
+/// Empty when every `--flag` of `args` is declared by `c` and given as
+/// declared, and every required flag is given; otherwise an error naming
+/// the first offending flag.
+std::string CheckFlags(const CommandSpec& c,
+                       const std::vector<std::string>& args) {
+  const std::vector<std::string> required = FlagWords(c.synopsis);
+  std::vector<std::string> declared = FlagWords(c.flags);
+  declared.insert(declared.end(), required.begin(), required.end());
+  auto name_of = [](const std::string& f) { return f.substr(0, f.find('=')); };
+  for (const std::string& a : args) {
+    if (a.rfind("--", 0) != 0) continue;
+    const std::string name = name_of(a);
+    auto spec = std::ranges::find(declared, name, name_of);
+    if (spec == declared.end()) return "unknown flag " + name;
+    const bool takes_value = spec->size() > name.size();
+    if (takes_value && a.size() <= name.size() + 1) {
+      return "flag " + name + " needs a value (" + *spec + ")";
+    }
+    if (!takes_value && a.size() > name.size()) {
+      return "flag " + name + " takes no value";
+    }
+  }
+  for (const std::string& f : required) {
+    if (FlagValue(args, name_of(f) + "=").empty()) return "missing " + f;
+  }
+  return "";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: seqdl <run|serve|coordinate|query|check|transform|"
-                 "normalform|algebra|hasse|regex> ...\n");
+  const CommandSpec* command = argc < 2 ? nullptr : FindCommand(argv[1]);
+  if (command == nullptr) {
+    std::string names;
+    for (const CommandSpec& c : kCommands) {
+      names += (names.empty() ? "" : "|") + std::string(c.name);
+    }
+    if (argc >= 2) std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+    std::fprintf(stderr, "usage: seqdl <%s> ...\n", names.c_str());
     return 2;
   }
-  std::string cmd = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
-  if (cmd == "run") return CmdRun(args);
-  if (cmd == "serve") return CmdServe(args);
-  if (cmd == "coordinate") return CmdCoordinate(args);
-  if (cmd == "query") return CmdQuery(args);
-  if (cmd == "check") return CmdCheck(args);
-  if (cmd == "transform") return CmdTransform(args);
-  if (cmd == "normalform") return CmdNormalForm(args);
-  if (cmd == "algebra") return CmdAlgebra(args);
-  if (cmd == "hasse") return CmdHasse(args);
-  if (cmd == "regex") return CmdRegex(args);
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return 2;
+  if (std::string error = CheckFlags(*command, args); !error.empty()) {
+    std::fprintf(stderr, "error: seqdl %s: %s\n", command->name,
+                 error.c_str());
+    return Usage(command->name);
+  }
+  return command->run(args);
 }
