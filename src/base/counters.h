@@ -70,10 +70,6 @@ struct CounterField {
   X(uint64_t, full_scans, kSum)                                             \
   /* Scans over per-round delta sets (semi-naive iteration). */             \
   X(uint64_t, delta_scans, kSum)                                            \
-  /* Delta scans answered through a per-round delta index (the delta held  \
-     at least RunOptions::delta_index_threshold tuples and the step had a  \
-     ground key). Subset of delta_scans. */                                 \
-  X(uint64_t, delta_index_probes, kSum)                                     \
   /* Net changed facts of the delta segments (additions plus retractions)  \
      that seeded a RunDelta's first delta pass (0 on full runs). */         \
   X(uint64_t, delta_seed_facts, kSum)                                       \

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -22,8 +23,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Sentinel for "no scan step is restricted to the delta this pass".
-constexpr size_t kNoDeltaStep = static_cast<size_t>(-1);
+/// The EvalStats counter of each IndexFamily's probes.
+constexpr uint64_t EvalCounters::* kProbeCounter[kNumIndexFamilies] = {
+    &EvalCounters::index_probes, &EvalCounters::prefix_probes,
+    &EvalCounters::suffix_probes};
 
 /// How many rule firings pass between cancellation polls.
 constexpr size_t kCancelPollInterval = 256;
@@ -40,16 +43,15 @@ std::string DescribeStep(const Universe& u, const RulePlan& plan,
   switch (step.kind) {
     case PlanStep::Kind::kScan: {
       out = "scan " + u.RelName(lit.pred.rel) + ": ";
-      if (step.index_arg >= 0) {
-        out += "whole-value key col " + std::to_string(step.index_arg);
-      } else if (step.prefix_arg >= 0) {
-        out += "first-value key col " + std::to_string(step.prefix_arg) +
-               " (prefix " + FormatExpr(u, step.prefix_expr) + ")";
-      } else if (step.suffix_arg >= 0) {
-        out += "last-value key col " + std::to_string(step.suffix_arg) +
-               " (suffix " + FormatExpr(u, step.suffix_expr) + ")";
-      } else {
+      if (step.arg < 0) {
         out += "full scan";
+      } else {
+        out += std::string(IndexFamilyName(step.family)) + "-value key col " +
+               std::to_string(step.arg);
+        if (step.family != IndexFamily::kWhole) {
+          out += step.family == IndexFamily::kFirst ? " (prefix " : " (suffix ";
+          out += FormatExpr(u, step.key_expr) + ")";
+        }
       }
       if (step.est_cost >= 0) {
         char buf[32];
@@ -265,7 +267,7 @@ class Executor {
     std::map<RelId, TupleSet> delta;
     pending_.clear();
     for (const RulePlan& plan : stratum.plans) {
-      SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr, nullptr));
+      SEQDL_RETURN_IF_ERROR(ApplyRule(plan, nullptr));
     }
     SEQDL_RETURN_IF_ERROR(MergePending(&delta));
     return delta.empty() ? Status::OK() : DeltaRounds(stratum, delta);
@@ -297,44 +299,23 @@ class Executor {
   }
 
   // Re-runs each rule once per scan step over a relation with facts in
-  // `delta`, with that step restricted to them (ApplyRestricted). A step
-  // whose relation `delta` does not touch is skipped: it cannot match a
-  // new fact, and running it would only rescan the store. The deltas are
-  // immutable while the pass runs, so one DeltaIndexer can index the
-  // large ones (see index.h).
+  // `delta`, through the delta-first plan variant of that step's literal:
+  // the restricted scan is the outermost loop, so the application costs
+  // O(|delta|) probes, not an outer full scan. A step whose relation
+  // `delta` does not touch is skipped: it cannot match a new fact, and
+  // running it would only rescan the store.
   Status ApplyDelta(const CompiledStratum& stratum,
                     const std::map<RelId, TupleSet>& delta) {
-    DeltaIndexer delta_idx(u_, delta, opts_.delta_index_threshold);
     for (size_t r = 0; r < stratum.plans.size(); ++r) {
       const RulePlan& plan = stratum.plans[r];
-      for (size_t i = 0; i < plan.steps.size(); ++i) {
-        const PlanStep& st = plan.steps[i];
+      for (const PlanStep& st : plan.steps) {
         if (st.kind != PlanStep::Kind::kScan) continue;
         if (delta.count(plan.rule->body[st.lit_idx].pred.rel) == 0) continue;
         SEQDL_RETURN_IF_ERROR(
-            ApplyRestricted(stratum, r, st.lit_idx, i, &delta, &delta_idx));
+            ApplyRule(stratum.delta_plans[r].at(st.lit_idx), &delta));
       }
     }
     return Status::OK();
-  }
-
-  // Applies rule `r` with the scan of body literal `lit_idx` restricted
-  // to `*delta`, through the delta-first plan variant when the compiler
-  // built one (so the restricted scan is the outermost loop and the
-  // application costs O(|delta|) probes, not an outer full scan).
-  // `fallback_step` is the restricted literal's step in the base plan,
-  // used when no variant exists.
-  Status ApplyRestricted(const CompiledStratum& stratum, size_t r,
-                         size_t lit_idx, size_t fallback_step,
-                         const std::map<RelId, TupleSet>* delta,
-                         DeltaIndexer* delta_idx) {
-    if (r < stratum.delta_plans.size()) {
-      auto it = stratum.delta_plans[r].find(lit_idx);
-      if (it != stratum.delta_plans[r].end()) {
-        return ApplyRule(it->second, 0, delta, delta_idx);
-      }
-    }
-    return ApplyRule(stratum.plans[r], fallback_step, delta, delta_idx);
   }
 
   // Visibility of `t` in a (segments, kinds) stack prefix: the newest
@@ -535,7 +516,7 @@ class Executor {
       status_ = Status::OK();
       Valuation v;
       MatchArgs(u_, plan.rule->head.args, t, v, [&](Valuation& v2) {
-        return ExecuteStep(plan, 0, v2, kNoDeltaStep, nullptr, nullptr);
+        return ExecuteStep(plan, 0, v2, nullptr);
       });
       check_mode_ = false;
       SEQDL_RETURN_IF_ERROR(status_);
@@ -549,7 +530,7 @@ class Executor {
       SEQDL_RETURN_IF_ERROR(BumpRound());
       pending_.clear();
       for (const RulePlan& plan : stratum.plans) {
-        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr, nullptr));
+        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, nullptr));
       }
       std::map<RelId, TupleSet> new_facts;
       SEQDL_RETURN_IF_ERROR(MergePending(&new_facts));
@@ -579,30 +560,24 @@ class Executor {
     return Status::OK();
   }
 
-  // Runs one rule; derived facts go to pending_. If `delta_step` is not
-  // kNoDeltaStep, that scan step enumerates `*delta` instead of the store
-  // (probing `*delta_idx` when the delta is large enough to be indexed).
-  Status ApplyRule(const RulePlan& plan, size_t delta_step,
-                   const std::map<RelId, TupleSet>* delta,
-                   DeltaIndexer* delta_idx) {
+  // Runs one rule; derived facts go to pending_. A non-null `delta`
+  // restricts step 0 — the leading scan of a delta-first variant — to the
+  // delta's tuples instead of the store.
+  Status ApplyRule(const RulePlan& plan,
+                   const std::map<RelId, TupleSet>* delta) {
     Valuation v;
     status_ = Status::OK();
     // Once-per-firing attribution (SkipCount) needs the tuple each body
     // literal matched; track them whenever a restricted pass is counting
     // — support increments under semi-naive, or deletion decrements.
-    bool counting = delta != nullptr && delta_step != kNoDeltaStep &&
-                    (decrement_mode_ ||
-                     (opts_.support != nullptr && opts_.seminaive));
-    if (counting) {
-      track_matched_ = true;
+    if (delta != nullptr &&
+        (decrement_mode_ || (opts_.support != nullptr && opts_.seminaive))) {
       count_delta_ = delta;
-      count_delta_lit_ = plan.steps[delta_step].lit_idx;
+      count_delta_lit_ = plan.steps[0].lit_idx;
       matched_.assign(plan.rule->body.size(), nullptr);
     }
-    ExecuteStep(plan, 0, v, delta_step, delta, delta_idx);
-    track_matched_ = false;
+    ExecuteStep(plan, 0, v, delta);
     count_delta_ = nullptr;
-    count_delta_lit_ = kNoDeltaStep;
     return status_;
   }
 
@@ -643,8 +618,7 @@ class Executor {
 
   // Returns false to abort enumeration (on error).
   bool ExecuteStep(const RulePlan& plan, size_t step_idx, Valuation& v,
-                   size_t delta_step, const std::map<RelId, TupleSet>* delta,
-                   DeltaIndexer* delta_idx) {
+                   const std::map<RelId, TupleSet>* delta) {
     if (!status_.ok()) return false;
     // Everything this step evaluates lives until its enumeration is done.
     SliceEvaluator::Scope scope(eval_);
@@ -653,16 +627,15 @@ class Executor {
     const PlanStep& step = plan.steps[step_idx];
     const Literal& lit = plan.rule->body[step.lit_idx];
     auto next = [&](Valuation& v2) {
-      return ExecuteStep(plan, step_idx + 1, v2, delta_step, delta,
-                         delta_idx);
+      return ExecuteStep(plan, step_idx + 1, v2, delta);
     };
     // Enumerate one store tuple, recording it when the canonical-count
     // machinery needs to know which tuple each literal matched.
     auto match_one = [&](const Tuple& t) {
-      if (track_matched_) matched_[step.lit_idx] = &t;
+      if (count_delta_ != nullptr) matched_[step.lit_idx] = &t;
       return MatchArgs(u_, lit.pred.args, t, v, next);
     };
-    auto match_all = [&](const std::vector<const Tuple*>& bucket) {
+    auto match_all = [&](const Bucket& bucket) {
       for (const Tuple* t : bucket) {
         if (!match_one(*t)) return false;
       }
@@ -671,8 +644,7 @@ class Executor {
     // Enumerate a fact segment's probe bucket, skipping tuples a newer
     // tombstone segment shadows (the common stack has no tombstones, so
     // the fast path is the plain bucket walk).
-    auto match_layer = [&](const SegmentLayer& layer,
-                           const std::vector<const Tuple*>& bucket) {
+    auto match_layer = [&](const SegmentLayer& layer, const Bucket& bucket) {
       if (layer.shadows.empty()) return match_all(bucket);
       for (const Tuple* t : bucket) {
         if (layer.Shadowed(lit.pred.rel, *t)) continue;
@@ -683,74 +655,58 @@ class Executor {
 
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
-        if (step_idx == delta_step) {
-          return ScanDelta(step, lit, v, delta, delta_idx, match_all,
-                           match_one);
+        if (step_idx == 0 && delta != nullptr) {
+          // The restricted scan leads its delta-first variant, so nothing
+          // is bound yet: a plain loop over the delta.
+          if (stats_) ++stats_->delta_scans;
+          auto it = delta->find(lit.pred.rel);
+          if (it == delta->end()) return true;
+          for (const Tuple& t : it->second) {
+            if (!match_one(t)) return false;
+          }
+          return true;
         }
         bool ok = [&] {
-          StepKey key;
-          if (opts_.use_index && !EvalStepKey(step, lit, v, &key)) {
-            return false;
+          std::optional<uint32_t> key;
+          if (opts_.use_index && step.arg >= 0) {
+            // The whole argument's PathId (kNoPath, in no bucket, when it
+            // was never interned), or the end value of the ground run —
+            // none when that evaluated to eps (a bound path variable
+            // holding the empty path constrains nothing): scan everything.
+            Slice ground;
+            if (!EvalTo(step.key_expr, v, &ground)) return false;
+            key = step.family == IndexFamily::kWhole
+                      ? eval_.Find(ground)
+                      : EndValueKey(step.family, ground.values);
           }
-          switch (key.kind) {
-            case StepKey::Kind::kWhole:
-              // An arity-1 relation's whole-value key IS the tuple:
-              // answer with the layers' hash membership test instead of
-              // materializing the whole-value column index — check plans
-              // and ground-literal joins issue point lookups here, and
-              // the index would be rebuilt from scratch every refresh
-              // just to answer them.
-              if (lit.pred.args.size() == 1) {
-                if (stats_) ++stats_->index_probes;
-                Tuple probe{key.whole};
-                if (!store_.Contains(lit.pred.rel, probe)) return true;
-                return match_one(probe);
+          if (key) {
+            if (stats_) {
+              ++(stats_->*kProbeCounter[static_cast<size_t>(step.family)]);
+            }
+            // An arity-1 relation's whole-value key IS the tuple: answer
+            // with the layers' hash membership test instead of
+            // materializing the whole-value column index — check plans
+            // and ground-literal joins issue point lookups here, and the
+            // index would be rebuilt from scratch every refresh just to
+            // answer them.
+            if (step.family == IndexFamily::kWhole &&
+                lit.pred.args.size() == 1) {
+              Tuple probe{*key};
+              if (!store_.Contains(lit.pred.rel, probe)) return true;
+              return match_one(probe);
+            }
+            // Probe every layer (shared fact segments in epoch order, then
+            // the private overlay); MatchArgs filters first/last buckets
+            // exactly.
+            auto col = static_cast<uint32_t>(step.arg);
+            for (const SegmentLayer& layer : store_.layers()) {
+              if (!match_layer(layer, layer.store->Probe(lit.pred.rel, col,
+                                                         step.family, *key))) {
+                return false;
               }
-              // The planner proved this argument ground under every
-              // valuation reaching the step: probe the whole-value column
-              // index of every layer (shared fact segments in epoch
-              // order, then the private overlay).
-              if (stats_) ++stats_->index_probes;
-              for (const SegmentLayer& layer : store_.layers()) {
-                if (!match_layer(layer, layer.store->Probe(lit.pred.rel,
-                                                           key.col,
-                                                           key.whole))) {
-                  return false;
-                }
-              }
-              return match_all(store_.overlay().Probe(lit.pred.rel, key.col,
-                                                      key.whole));
-            case StepKey::Kind::kFirst:
-              // A leading prefix of this argument is ground: a matching
-              // tuple must start with the prefix's first value, so probe
-              // the first-value index (MatchArgs still filters exactly).
-              if (stats_) ++stats_->prefix_probes;
-              for (const SegmentLayer& layer : store_.layers()) {
-                if (!match_layer(layer,
-                                 layer.store->ProbeFirst(lit.pred.rel, key.col,
-                                                         key.value))) {
-                  return false;
-                }
-              }
-              return match_all(store_.overlay().ProbeFirst(lit.pred.rel,
-                                                           key.col,
-                                                           key.value));
-            case StepKey::Kind::kLast:
-              // Symmetric: a trailing suffix is ground (`$x ++ a`); a
-              // matching tuple must end with the suffix's last value, so
-              // probe the last-value index.
-              if (stats_) ++stats_->suffix_probes;
-              for (const SegmentLayer& layer : store_.layers()) {
-                if (!match_layer(layer,
-                                 layer.store->ProbeLast(lit.pred.rel, key.col,
-                                                        key.value))) {
-                  return false;
-                }
-              }
-              return match_all(store_.overlay().ProbeLast(lit.pred.rel,
-                                                          key.col, key.value));
-            case StepKey::Kind::kNone:
-              break;
+            }
+            return match_all(
+                store_.overlay().Probe(lit.pred.rel, col, step.family, *key));
           }
           if (stats_) ++stats_->full_scans;
           for (const SegmentLayer& layer : store_.layers()) {
@@ -817,105 +773,6 @@ class Executor {
         if (a.SameValues(b)) return true;
         return next(v);
       }
-    }
-    return true;
-  }
-
-  // The evaluated index key of a scan step under the current valuation —
-  // the single probe-selection logic shared by the store path
-  // (ExecuteStep) and the delta path (ScanDelta), which used to mirror
-  // it separately.
-  struct StepKey {
-    enum class Kind : uint8_t { kNone, kWhole, kFirst, kLast };
-
-    Kind kind = Kind::kNone;
-    uint32_t col = 0;
-    // kWhole: the ground argument's path; kNoPath (in no tuple) if unknown.
-    PathId whole = kEmptyPath;
-    Value value;                // kFirst/kLast: the prefix/suffix end value.
-  };
-
-  // Evaluates the step's planned key: the fully ground argument
-  // (whole-value), or the first/last value of the ground prefix/suffix.
-  // kNone = the step has no key, or the prefix/suffix evaluated to eps (a
-  // bound path variable holding the empty path constrains nothing) — scan
-  // everything. Returns false on expression-evaluation error (status_
-  // set).
-  bool EvalStepKey(const PlanStep& step, const Literal& lit,
-                   const Valuation& v, StepKey* key) {
-    if (step.index_arg >= 0) {
-      key->col = static_cast<uint32_t>(step.index_arg);
-      key->kind = StepKey::Kind::kWhole;
-      Slice whole;
-      if (!EvalTo(lit.pred.args[static_cast<size_t>(step.index_arg)], v,
-                  &whole)) {
-        return false;
-      }
-      key->whole = eval_.Find(whole);
-      return true;
-    }
-    if (step.prefix_arg >= 0) {
-      Slice prefix;
-      if (!EvalTo(step.prefix_expr, v, &prefix)) return false;
-      if (prefix.size() != 0) {
-        key->col = static_cast<uint32_t>(step.prefix_arg);
-        key->kind = StepKey::Kind::kFirst;
-        key->value = prefix.values.front();
-      }
-      return true;
-    }
-    if (step.suffix_arg >= 0) {
-      Slice suffix;
-      if (!EvalTo(step.suffix_expr, v, &suffix)) return false;
-      if (suffix.size() != 0) {
-        key->col = static_cast<uint32_t>(step.suffix_arg);
-        key->kind = StepKey::Kind::kLast;
-        key->value = suffix.values.back();
-      }
-      return true;
-    }
-    return true;
-  }
-
-  // A scan step restricted to the current round's delta. Small deltas are
-  // scanned linearly; once a delta reaches RunOptions::delta_index_threshold
-  // tuples, the per-round DeltaIndexer answers keyed steps with a bucket
-  // probe instead (same key logic as the main store, via EvalStepKey).
-  template <typename MatchAll, typename MatchOne>
-  bool ScanDelta(const PlanStep& step, const Literal& lit, Valuation& v,
-                 const std::map<RelId, TupleSet>* delta,
-                 DeltaIndexer* delta_idx, MatchAll&& match_all,
-                 MatchOne&& match_one) {
-    assert(delta != nullptr);
-    if (stats_) ++stats_->delta_scans;
-    auto it = delta->find(lit.pred.rel);
-    if (it == delta->end()) return true;
-    if (opts_.use_index && delta_idx != nullptr) {
-      StepKey key;
-      if (!EvalStepKey(step, lit, v, &key)) return false;
-      const std::vector<const Tuple*>* bucket = nullptr;
-      switch (key.kind) {
-        case StepKey::Kind::kWhole:
-          bucket = delta_idx->Probe(lit.pred.rel, key.col, key.whole);
-          break;
-        case StepKey::Kind::kFirst:
-          bucket = delta_idx->ProbeFirst(lit.pred.rel, key.col, key.value);
-          break;
-        case StepKey::Kind::kLast:
-          bucket = delta_idx->ProbeLast(lit.pred.rel, key.col, key.value);
-          break;
-        case StepKey::Kind::kNone:
-          break;
-      }
-      // nullptr = the delta is below the indexing threshold; fall back to
-      // the linear scan.
-      if (bucket != nullptr) {
-        if (stats_) ++stats_->delta_index_probes;
-        return match_all(*bucket);
-      }
-    }
-    for (const Tuple& t : it->second) {
-      if (!match_one(t)) return false;
     }
     return true;
   }
@@ -1061,10 +918,10 @@ class Executor {
   const std::map<RelId, TupleSet>* ghosts_deleted_ = nullptr;
 
   // --- Canonical firing attribution (see SkipCount) ---
-  bool track_matched_ = false;
-  /// The restricted pass's delta and restricted body literal index.
+  /// The counting restricted pass's delta (null when the pass does not
+  /// count) and restricted body literal index.
   const std::map<RelId, TupleSet>* count_delta_ = nullptr;
-  size_t count_delta_lit_ = kNoDeltaStep;
+  size_t count_delta_lit_ = 0;
   /// Per body literal: the store tuple the literal currently matches.
   std::vector<const Tuple*> matched_;
 };

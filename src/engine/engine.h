@@ -110,10 +110,6 @@ struct RunOptions {
   /// Probe per-(relation, column) hash indexes for scans whose key
   /// position is ground; false = always full scans (ablation).
   bool use_index = true;
-  /// Semi-naive delta sets with at least this many tuples are indexed on
-  /// first keyed probe instead of scanned linearly (see
-  /// EvalStats::delta_index_probes). 0 = always index; SIZE_MAX = never.
-  size_t delta_index_threshold = 32;
   /// Cancellation/budget callback, polled at every fixpoint round and
   /// periodically between rule firings. Return true to cancel the run;
   /// Run then fails with kCancelled. Leave empty for no callback.

@@ -1,39 +1,34 @@
 // Indexed relation storage for the evaluator.
 //
-// Three families of per-(relation, column) hash indexes appear throughout:
-//
-//   * whole-value indexes keyed on the column's PathId, probed when the
-//     planner proved an argument position fully ground under the current
-//     valuation (PlanStep::index_arg);
-//   * first-value indexes keyed on the first Value of the column's path,
-//     probed when only a leading prefix of the argument is ground
-//     (PlanStep::prefix_arg) — a matching tuple must start with the
-//     prefix's first value, so the bucket is a sound overapproximation
-//     that the usual MatchArgs pass then filters exactly;
-//   * last-value indexes keyed on the last Value of the column's path,
-//     probed when only a trailing suffix of the argument is ground
-//     (PlanStep::suffix_arg, e.g. `$x ++ a`) — symmetric to first-value.
-//
-// Either way a full relation scan becomes a bucket probe.
+// Every store indexes a (relation, column) pair in the three IndexFamily
+// families of stats.h — whole value, first value, last value — and files
+// each tuple under IndexKey of its column. One Probe(rel, col, family,
+// key) per store answers a planned scan step (PlanStep::arg/family) with
+// the bucket of its evaluated key: the whole argument's PathId, or the
+// first/last value of its ground prefix/suffix. First/last buckets are
+// sound overapproximations that the usual MatchArgs pass filters
+// exactly. Either way a full relation scan becomes a bucket probe.
 //
 // Storage classes:
 //
-//   * IndexedInstance — a private, mutable store. Indexes build lazily on
-//     first probe and are maintained incrementally as facts are derived.
-//     Not thread-safe; each run owns its own.
-//   * BaseStore — an immutable, shared store over a fixed EDB. Indexes
-//     build at most once per (relation, column) under std::call_once and
-//     are read-only afterwards, so any number of threads can probe
-//     concurrently. Database (database.h) wraps one; the legacy one-shot
-//     entry points build a throwaway one per call.
+//   * IndexedInstance — a private, mutable store. Each (relation, column,
+//     family) index builds lazily on its first probe and is maintained
+//     incrementally as facts are added or removed. Not thread-safe; each
+//     run owns its own.
+//   * BaseStore — an immutable, shared store over a fixed EDB. All three
+//     families of a (relation, column) build together, at most once,
+//     under std::call_once and are read-only afterwards, so any number of
+//     threads can probe concurrently. Database (database.h) wraps one; the
+//     legacy one-shot entry points build a throwaway one per call.
 //   * LayeredStore — the copy-on-read view the executor runs on: a stack
 //     of shared BaseStore segments underneath (one per committed epoch —
 //     see database.h), a private IndexedInstance overlay on top.
 //     Derivation only ever mutates the overlay; the base segments are
 //     never touched.
-//   * DeltaIndexer — per-round view over semi-naive delta sets, indexing a
-//     delta set on first probe once it exceeds a size threshold (small
-//     deltas stay linear scans).
+//
+// Semi-naive delta sets are not indexed: a scan restricted to a delta
+// always leads its delta-first plan variant, where no variable is bound
+// yet, so it is a plain loop over the delta.
 //
 // Bucket entries are pointers into the underlying TupleSet; unordered_set
 // guarantees reference stability under insertion, so derivation never
@@ -41,11 +36,13 @@
 #ifndef SEQDL_ENGINE_INDEX_H_
 #define SEQDL_ENGINE_INDEX_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <span>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -56,15 +53,21 @@
 
 namespace seqdl {
 
+/// The tuples filed under one index key. Entries point into the store's
+/// TupleSet.
+using Bucket = std::vector<const Tuple*>;
+/// One (relation, column, family) index: IndexKey -> bucket.
+using BucketMap = std::unordered_map<uint32_t, Bucket>;
+
 /// The shared empty bucket returned for missing keys.
-const std::vector<const Tuple*>& EmptyBucket();
+const Bucket& EmptyBucket();
 
 class IndexedInstance {
  public:
   /// An empty store; usable only after move-assignment from a real one.
   IndexedInstance() = default;
-  /// Wraps `base`. `u` resolves paths to their first/last value for the
-  /// first/last-value indexes and must outlive the store.
+  /// Wraps `base`. `u` resolves paths to their IndexKey and must outlive
+  /// the store.
   IndexedInstance(const Universe& u, Instance base)
       : universe_(&u), base_(std::move(base)) {}
 
@@ -72,8 +75,8 @@ class IndexedInstance {
   /// Releases the underlying instance (indexes become meaningless).
   Instance&& TakeInstance() { return std::move(base_); }
 
-  /// Adds a fact, updating any built indexes of its relation. Returns true
-  /// if the fact was new.
+  /// Adds a fact, filing it into every built index of its relation.
+  /// Returns true if the fact was new.
   bool Add(RelId rel, Tuple t);
 
   /// Bulk counterpart of Add: inserts all of `tuples` with capacity
@@ -89,54 +92,37 @@ class IndexedInstance {
   }
   const TupleSet& Tuples(RelId rel) const { return base_.Tuples(rel); }
 
-  /// The tuples of `rel` whose `col`-th component is `key`. Builds the
-  /// (rel, col) whole-value index on first use.
-  const std::vector<const Tuple*>& Probe(RelId rel, uint32_t col, PathId key);
-
-  /// The tuples of `rel` whose `col`-th component is a non-empty path
-  /// starting with `first`. Builds the (rel, col) first-value index on
+  /// The tuples of `rel` whose `col`-th component files under `key` in
+  /// `family`'s index (IndexKey). Builds that (rel, col, family) index on
   /// first use.
-  const std::vector<const Tuple*>& ProbeFirst(RelId rel, uint32_t col,
-                                              Value first);
-
-  /// The tuples of `rel` whose `col`-th component is a non-empty path
-  /// ending with `last`. Builds the (rel, col) last-value index on first
-  /// use.
-  const std::vector<const Tuple*>& ProbeLast(RelId rel, uint32_t col,
-                                             Value last);
+  const Bucket& Probe(RelId rel, uint32_t col, IndexFamily family,
+                      uint32_t key);
 
   /// Removes a fact, dropping it from every built index of its relation.
   /// Returns true if it was present. The DRed deletion path's overlay
-  /// surgery; O(bucket) per built index family.
+  /// surgery; O(bucket) per built index.
   bool Remove(RelId rel, const Tuple& t);
 
-  /// Number of distinct (relation, column) indexes built so far.
-  size_t NumIndexes() const {
-    return indexes_.size() + first_indexes_.size() + last_indexes_.size();
-  }
-
  private:
-  struct ColumnIndex {
-    std::unordered_map<PathId, std::vector<const Tuple*>> buckets;
-  };
-  struct ValueIndex {
-    std::unordered_map<Value, std::vector<const Tuple*>> buckets;
-  };
+  using IndexId = std::tuple<RelId, uint32_t, IndexFamily>;
+
+  /// Calls `fn(buckets, key)` for every built index of `rel` that files
+  /// `t`: the index's bucket map and t's key in it.
+  template <typename Fn>
+  void ForEachIndexOf(RelId rel, const Tuple& t, Fn fn);
 
   const Universe* universe_ = nullptr;
   Instance base_;
-  std::map<std::pair<RelId, uint32_t>, ColumnIndex> indexes_;
-  std::map<std::pair<RelId, uint32_t>, ValueIndex> first_indexes_;
-  std::map<std::pair<RelId, uint32_t>, ValueIndex> last_indexes_;
+  std::map<IndexId, BucketMap> indexes_;
 };
 
 /// An immutable, shareable indexed store over a fixed EDB instance.
 ///
 /// Construction records the relations present (the slot table is fixed
-/// from then on); the per-(relation, column) whole/first/last-value
-/// indexes build together on the first probe of that column, exactly once
-/// across all threads (std::call_once), and are pure reads afterwards.
-/// All probe/lookup methods are const and safe to call concurrently.
+/// from then on); all three family indexes of a (relation, column) build
+/// together on the first probe of that column, exactly once across all
+/// threads (std::call_once), and are pure reads afterwards. All
+/// probe/lookup methods are const and safe to call concurrently.
 class BaseStore {
  public:
   BaseStore(const Universe& u, Instance edb);
@@ -151,12 +137,10 @@ class BaseStore {
   }
   const TupleSet& Tuples(RelId rel) const { return edb_.Tuples(rel); }
 
-  const std::vector<const Tuple*>& Probe(RelId rel, uint32_t col,
-                                         PathId key) const;
-  const std::vector<const Tuple*>& ProbeFirst(RelId rel, uint32_t col,
-                                              Value first) const;
-  const std::vector<const Tuple*>& ProbeLast(RelId rel, uint32_t col,
-                                             Value last) const;
+  /// The tuples of `rel` whose `col`-th component files under `key` in
+  /// `family`'s index (IndexKey).
+  const Bucket& Probe(RelId rel, uint32_t col, IndexFamily family,
+                      uint32_t key) const;
 
   /// Number of (relation, column) columns whose indexes have been built.
   size_t NumIndexedColumns() const;
@@ -169,18 +153,14 @@ class BaseStore {
   const StoreStats& Stats() const;
 
  private:
-  /// All three indexes of one (relation, column) pair, built together in
-  /// one pass over the relation on first probe.
+  /// All three family indexes of one (relation, column) pair, indexed by
+  /// IndexFamily and built together in one pass over the relation on
+  /// first probe.
   struct ColSlot {
     mutable std::once_flag once;
-    std::unordered_map<PathId, std::vector<const Tuple*>> whole;
-    std::unordered_map<Value, std::vector<const Tuple*>> first;
-    std::unordered_map<Value, std::vector<const Tuple*>> last;
+    std::array<BucketMap, kNumIndexFamilies> families;
     std::atomic<bool> built{false};
   };
-
-  const ColSlot* Slot(RelId rel, uint32_t col) const;
-  void Build(RelId rel, const ColSlot& slot, uint32_t col) const;
 
   const Universe* universe_;
   Instance edb_;
@@ -306,48 +286,6 @@ class LayeredStore {
   std::vector<const BaseStore*> tombs_;
   std::vector<SegmentLayer> layers_;
   IndexedInstance overlay_;
-};
-
-/// Per-round index over semi-naive delta sets. Wraps one round's deltas
-/// (which are immutable for the duration of the round) and builds a
-/// per-(relation, column) index on first probe — but only when the delta
-/// set holds at least `threshold` tuples; below that, Probe* returns
-/// nullptr and the caller scans the delta linearly. Single-threaded, like
-/// the run that owns it.
-class DeltaIndexer {
- public:
-  DeltaIndexer(const Universe& u, const std::map<RelId, TupleSet>& delta,
-               size_t threshold)
-      : universe_(&u), delta_(&delta), threshold_(threshold) {}
-
-  /// nullptr = delta below threshold; scan linearly.
-  const std::vector<const Tuple*>* Probe(RelId rel, uint32_t col, PathId key);
-  const std::vector<const Tuple*>* ProbeFirst(RelId rel, uint32_t col,
-                                              Value first);
-  const std::vector<const Tuple*>* ProbeLast(RelId rel, uint32_t col,
-                                             Value last);
-
- private:
-  /// Families build independently (per-family flags): a plan step probes
-  /// exactly one family, and this cost recurs every round — unlike
-  /// BaseStore, which builds all three in one amortized pass.
-  struct ColIndexes {
-    std::unordered_map<PathId, std::vector<const Tuple*>> whole;
-    std::unordered_map<Value, std::vector<const Tuple*>> first;
-    std::unordered_map<Value, std::vector<const Tuple*>> last;
-    bool whole_built = false;
-    bool first_built = false;
-    bool last_built = false;
-  };
-
-  /// The (rel, col) slot, or nullptr when the delta is below threshold or
-  /// absent. On success `*tuples` is the delta set to build from.
-  ColIndexes* Slot(RelId rel, uint32_t col, const TupleSet** tuples);
-
-  const Universe* universe_;
-  const std::map<RelId, TupleSet>* delta_;
-  size_t threshold_;
-  std::map<std::pair<RelId, uint32_t>, ColIndexes> built_;
 };
 
 }  // namespace seqdl

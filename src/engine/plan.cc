@@ -25,64 +25,75 @@ bool ItemIsGround(const ExprItem& item, const std::set<VarId>& bound) {
   return false;
 }
 
-/// The access path chosen for one scan, before it is written into a
-/// PlanStep. Family ranks double as deterministic tie-break order: an
-/// exact whole-value probe beats the overapproximating first/last-value
-/// probes beats a full scan when estimates are equal.
-struct AccessChoice {
-  enum Family : uint8_t { kWhole = 0, kFirst = 1, kLast = 2, kFull = 3 };
+/// How many leading (or, with `from_back`, trailing) items of `arg` are
+/// ground once `bound` is.
+size_t GroundRun(const PathExpr& arg, const std::set<VarId>& bound,
+                 bool from_back) {
+  size_t n = 0;
+  while (n < arg.items.size() &&
+         ItemIsGround(arg.items[from_back ? arg.items.size() - 1 - n : n],
+                      bound)) {
+    ++n;
+  }
+  return n;
+}
 
-  Family family = kFull;
-  int arg = -1;
-  PathExpr key_expr;  // kFirst/kLast: the ground prefix/suffix items.
-  double est = 0.0;
-  bool from_stats = false;
-};
+/// A scan of `pred` keyed on `family` over argument `i`, whose key is the
+/// whole argument or its ground run of `run` leading/trailing items.
+PlanStep KeyedScan(const Predicate& pred, size_t i, IndexFamily family,
+                   size_t run) {
+  PlanStep step;
+  step.arg = static_cast<int>(i);
+  step.family = family;
+  const std::vector<ExprItem>& items = pred.args[i].items;
+  auto n = static_cast<ptrdiff_t>(run);
+  switch (family) {
+    case IndexFamily::kWhole:
+      step.key_expr = pred.args[i];
+      break;
+    case IndexFamily::kFirst:
+      step.key_expr =
+          PathExpr(std::vector<ExprItem>(items.begin(), items.begin() + n));
+      break;
+    case IndexFamily::kLast:
+      step.key_expr =
+          PathExpr(std::vector<ExprItem>(items.end() - n, items.end()));
+      break;
+  }
+  return step;
+}
+
+/// Deterministic tie-break order among equally estimated access paths:
+/// the IndexFamily order, then the full scan.
+size_t AccessRank(const PlanStep& step) {
+  return step.arg < 0 ? kNumIndexFamilies : static_cast<size_t>(step.family);
+}
 
 /// Legacy heuristic: the first fully ground argument wins (whole-value
 /// probe); failing that, the argument with the longest non-empty leading
 /// or trailing run of ground items (first/last-value probe), the longer
 /// run winning and prefix winning ties.
-AccessChoice ChooseAccessLegacy(const Predicate& pred,
-                                const std::set<VarId>& bound) {
+PlanStep ChooseAccessLegacy(const Predicate& pred,
+                            const std::set<VarId>& bound) {
   size_t best_prefix_len = 0, best_suffix_len = 0;
-  AccessChoice prefix, suffix;
+  PlanStep prefix, suffix;
   for (size_t i = 0; i < pred.args.size(); ++i) {
     const PathExpr& arg = pred.args[i];
-    size_t ground_items = 0;
-    while (ground_items < arg.items.size() &&
-           ItemIsGround(arg.items[ground_items], bound)) {
-      ++ground_items;
+    size_t leading = GroundRun(arg, bound, /*from_back=*/false);
+    if (leading == arg.items.size()) {
+      return KeyedScan(pred, i, IndexFamily::kWhole, leading);
     }
-    if (ground_items == arg.items.size()) {
-      AccessChoice whole;
-      whole.family = AccessChoice::kWhole;
-      whole.arg = static_cast<int>(i);
-      return whole;
+    if (leading > best_prefix_len) {
+      best_prefix_len = leading;
+      prefix = KeyedScan(pred, i, IndexFamily::kFirst, leading);
     }
-    if (ground_items > best_prefix_len) {
-      best_prefix_len = ground_items;
-      prefix.family = AccessChoice::kFirst;
-      prefix.arg = static_cast<int>(i);
-      prefix.key_expr = PathExpr(std::vector<ExprItem>(
-          arg.items.begin(),
-          arg.items.begin() + static_cast<ptrdiff_t>(ground_items)));
-    }
-    size_t trailing = 0;
-    while (trailing < arg.items.size() &&
-           ItemIsGround(arg.items[arg.items.size() - 1 - trailing], bound)) {
-      ++trailing;
-    }
+    size_t trailing = GroundRun(arg, bound, /*from_back=*/true);
     if (trailing > best_suffix_len) {
       best_suffix_len = trailing;
-      suffix.family = AccessChoice::kLast;
-      suffix.arg = static_cast<int>(i);
-      suffix.key_expr = PathExpr(std::vector<ExprItem>(
-          arg.items.end() - static_cast<ptrdiff_t>(trailing),
-          arg.items.end()));
+      suffix = KeyedScan(pred, i, IndexFamily::kLast, trailing);
     }
   }
-  if (best_prefix_len == 0 && best_suffix_len == 0) return AccessChoice();
+  if (best_prefix_len == 0 && best_suffix_len == 0) return PlanStep();
   return best_prefix_len >= best_suffix_len ? prefix : suffix;
 }
 
@@ -90,99 +101,47 @@ AccessChoice ChooseAccessLegacy(const Predicate& pred,
 /// whole-value probe per fully ground argument, a first/last-value probe
 /// per argument with a non-empty ground prefix/suffix run, and the full
 /// scan — by its measured expected bucket size, smallest first. Ties go to
-/// the exacter family, then the lower argument position, keeping plans
+/// the lower AccessRank, then the lower argument position, keeping plans
 /// deterministic and pinned by tests/planner_test.cc.
-AccessChoice ChooseAccessStats(const Predicate& pred,
-                               const std::set<VarId>& bound,
-                               const StoreStats& stats) {
+PlanStep ChooseAccessStats(const Predicate& pred, const std::set<VarId>& bound,
+                           const StoreStats& stats) {
   bool known = stats.Knows(pred.rel);
-  AccessChoice best;
-  best.family = AccessChoice::kFull;
-  best.est = stats.EstimateScan(pred.rel);
-  best.from_stats = known;
-  auto consider = [&](AccessChoice cand) {
-    if (cand.est < best.est ||
-        (cand.est == best.est &&
-         (cand.family < best.family ||
-          (cand.family == best.family && cand.arg < best.arg)))) {
+  PlanStep best;
+  best.est_cost = stats.EstimateScan(pred.rel);
+  best.stats_chosen = known;
+  auto consider = [&](PlanStep cand) {
+    cand.est_cost = stats.Estimate(pred.rel, static_cast<uint32_t>(cand.arg),
+                                   cand.family);
+    cand.stats_chosen = known;
+    if (cand.est_cost < best.est_cost ||
+        (cand.est_cost == best.est_cost &&
+         (AccessRank(cand) < AccessRank(best) ||
+          (AccessRank(cand) == AccessRank(best) && cand.arg < best.arg)))) {
       best = std::move(cand);
     }
   };
   for (size_t i = 0; i < pred.args.size(); ++i) {
     const PathExpr& arg = pred.args[i];
-    size_t leading = 0;
-    while (leading < arg.items.size() &&
-           ItemIsGround(arg.items[leading], bound)) {
-      ++leading;
-    }
-    uint32_t col = static_cast<uint32_t>(i);
+    size_t leading = GroundRun(arg, bound, /*from_back=*/false);
     if (leading == arg.items.size()) {
-      AccessChoice whole;
-      whole.family = AccessChoice::kWhole;
-      whole.arg = static_cast<int>(i);
-      whole.est = stats.EstimateWhole(pred.rel, col);
-      whole.from_stats = known;
-      consider(std::move(whole));
+      consider(KeyedScan(pred, i, IndexFamily::kWhole, leading));
       continue;
     }
     if (leading > 0) {
-      AccessChoice first;
-      first.family = AccessChoice::kFirst;
-      first.arg = static_cast<int>(i);
-      first.key_expr = PathExpr(std::vector<ExprItem>(
-          arg.items.begin(),
-          arg.items.begin() + static_cast<ptrdiff_t>(leading)));
-      first.est = stats.EstimateFirst(pred.rel, col);
-      first.from_stats = known;
-      consider(std::move(first));
+      consider(KeyedScan(pred, i, IndexFamily::kFirst, leading));
     }
-    size_t trailing = 0;
-    while (trailing < arg.items.size() &&
-           ItemIsGround(arg.items[arg.items.size() - 1 - trailing], bound)) {
-      ++trailing;
-    }
+    size_t trailing = GroundRun(arg, bound, /*from_back=*/true);
     if (trailing > 0) {
-      AccessChoice last;
-      last.family = AccessChoice::kLast;
-      last.arg = static_cast<int>(i);
-      last.key_expr = PathExpr(std::vector<ExprItem>(
-          arg.items.end() - static_cast<ptrdiff_t>(trailing),
-          arg.items.end()));
-      last.est = stats.EstimateLast(pred.rel, col);
-      last.from_stats = known;
-      consider(std::move(last));
+      consider(KeyedScan(pred, i, IndexFamily::kLast, trailing));
     }
   }
   return best;
 }
 
-AccessChoice ChooseAccess(const Predicate& pred, const std::set<VarId>& bound,
-                          const StoreStats* stats) {
+PlanStep ChooseAccess(const Predicate& pred, const std::set<VarId>& bound,
+                      const StoreStats* stats) {
   return stats == nullptr ? ChooseAccessLegacy(pred, bound)
                           : ChooseAccessStats(pred, bound, *stats);
-}
-
-/// Writes the chosen access path into the step's key fields.
-void ApplyAccess(AccessChoice choice, bool have_stats, PlanStep* step) {
-  switch (choice.family) {
-    case AccessChoice::kWhole:
-      step->index_arg = choice.arg;
-      break;
-    case AccessChoice::kFirst:
-      step->prefix_arg = choice.arg;
-      step->prefix_expr = std::move(choice.key_expr);
-      break;
-    case AccessChoice::kLast:
-      step->suffix_arg = choice.arg;
-      step->suffix_expr = std::move(choice.key_expr);
-      break;
-    case AccessChoice::kFull:
-      break;
-  }
-  if (have_stats) {
-    step->est_cost = choice.est;
-    step->stats_chosen = choice.from_stats;
-  }
 }
 
 }  // namespace
@@ -213,8 +172,8 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
   while (!scans.empty()) {
     size_t pick = 0;
     // Stats-mode ordering evaluates each candidate's access choice
-    // anyway; the winner's is kept and reused for its plan step.
-    AccessChoice picked;
+    // anyway; the winner's is kept and reused as its plan step.
+    PlanStep picked;
     bool have_picked = false;
     if (forced_pending) {
       forced_pending = false;
@@ -254,11 +213,11 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
         // so the first candidate wins all-equal ties).
         int best_shared = -1;
         for (size_t k = 0; k < scans.size(); ++k) {
-          AccessChoice cand =
+          PlanStep cand =
               ChooseAccessStats(r.body[scans[k]].pred, bound, *opts.stats);
           int shared = shared_vars(scans[k]);
-          if (best_shared < 0 || cand.est < picked.est ||
-              (cand.est == picked.est && shared > best_shared)) {
+          if (best_shared < 0 || cand.est_cost < picked.est_cost ||
+              (cand.est_cost == picked.est_cost && shared > best_shared)) {
             best_shared = shared;
             pick = k;
             picked = std::move(cand);
@@ -269,14 +228,12 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
     }
     size_t lit = scans[pick];
     scans.erase(scans.begin() + static_cast<ptrdiff_t>(pick));
-    PlanStep step;
-    step.kind = PlanStep::Kind::kScan;
-    step.lit_idx = lit;
     if (!have_picked) {
       picked = ChooseAccess(r.body[lit].pred, bound, opts.stats);
     }
-    ApplyAccess(std::move(picked), opts.stats != nullptr, &step);
-    plan.steps.push_back(std::move(step));
+    picked.kind = PlanStep::Kind::kScan;
+    picked.lit_idx = lit;
+    plan.steps.push_back(std::move(picked));
     std::vector<VarId> vars;
     CollectVars(r.body[lit], &vars);
     bound.insert(vars.begin(), vars.end());
@@ -348,13 +305,6 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
     }
   }
   return plan;
-}
-
-Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
-                          bool reorder_scans) {
-  PlannerOptions opts;
-  opts.reorder_scans = reorder_scans;
-  return PlanRule(u, r, opts);
 }
 
 }  // namespace seqdl

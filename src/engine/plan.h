@@ -5,9 +5,10 @@
 // positive equations in a safety-respecting order, then the negated
 // literals (whose variables are all bound by that point). Planning also
 // picks, per scan, the *access path* the executor uses instead of a full
-// relation scan (see index.h): a whole-value index probe on a fully ground
-// argument position, or a first/last-value probe on an argument with a
-// ground prefix/suffix run.
+// relation scan: one argument position and one IndexFamily (stats.h) —
+// a whole-value probe on a fully ground argument, or a first/last-value
+// probe on an argument with a ground prefix/suffix run. PlanStep carries
+// that choice unchanged to the stores' Probe (index.h).
 //
 // Two cost models choose among the candidates:
 //
@@ -45,28 +46,24 @@ struct PlanStep {
   Kind kind = Kind::kScan;
   /// Index of the literal in the rule body this step executes.
   size_t lit_idx = 0;
-  /// kScan only: argument position whose variables are all bound before
-  /// this step runs, so the argument evaluates to a ground path usable as
-  /// a whole-value index key. -1 when no position is fully ground.
-  int index_arg = -1;
-  /// kScan only, used when index_arg is -1: argument position with a
-  /// non-empty leading run of ground items. At runtime the prefix
-  /// evaluates to a ground path; if non-empty, its first value keys a
-  /// first-value index probe (a matching tuple must start with it). -1
-  /// when no argument has a ground prefix.
-  int prefix_arg = -1;
-  /// The ground leading items of args[prefix_arg], precomputed so the
-  /// executor evaluates them without rebuilding the expression.
-  PathExpr prefix_expr;
-  /// kScan only, used when index_arg and prefix_arg are both -1: argument
-  /// position with a non-empty trailing run of ground items (the
-  /// suffix-ground shape `$x ++ a`). At runtime the suffix evaluates to a
-  /// ground path; if non-empty, its last value keys a last-value index
-  /// probe (a matching tuple must end with it). -1 when no argument has a
-  /// ground suffix either (full relation scan).
-  int suffix_arg = -1;
-  /// The ground trailing items of args[suffix_arg].
-  PathExpr suffix_expr;
+  /// kScan only: the argument position the scan is keyed on, or -1 for a
+  /// full relation scan.
+  int arg = -1;
+  /// kScan with arg >= 0: which ground part of args[arg] keys the probe.
+  ///   * kWhole: every variable of the argument is bound before this step
+  ///     runs, so it evaluates to a ground path, whose PathId is the key;
+  ///   * kFirst: a non-empty leading run of items is ground; a matching
+  ///     tuple must start with its first value;
+  ///   * kLast: a non-empty trailing run is ground (`$x ++ a`); a matching
+  ///     tuple must end with its last value.
+  /// First/last buckets are sound overapproximations that MatchArgs
+  /// filters exactly. A run that evaluates to eps constrains nothing, and
+  /// the step falls back to a full scan.
+  IndexFamily family = IndexFamily::kWhole;
+  /// The ground items keying the probe: the whole argument (kWhole) or
+  /// its ground leading/trailing run, precomputed so the executor
+  /// evaluates them without rebuilding the expression.
+  PathExpr key_expr;
   /// kScan only: the planner's estimate of how many tuples this step
   /// enumerates per probe (mean bucket size of the chosen index family,
   /// or the relation size for a full scan). Negative when the plan was
@@ -116,10 +113,6 @@ struct PlannerOptions {
 /// an unbound variable).
 Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
                           const PlannerOptions& opts);
-
-/// Legacy-heuristic convenience overload (no statistics).
-Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
-                          bool reorder_scans);
 
 }  // namespace seqdl
 

@@ -1,20 +1,17 @@
 #include "src/engine/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <optional>
-#include <span>
 #include <unordered_map>
-
-#include "src/term/value.h"
 
 namespace seqdl {
 
 namespace {
 
 /// Finalizes one family from a key -> bucket-size count map.
-template <typename Key, typename Hash>
-FamilyStats Finalize(const std::unordered_map<Key, size_t, Hash>& counts) {
+FamilyStats Finalize(const std::unordered_map<uint32_t, size_t>& counts) {
   FamilyStats f;
   f.buckets = counts.size();
   for (const auto& [key, n] : counts) {
@@ -24,15 +21,28 @@ FamilyStats Finalize(const std::unordered_map<Key, size_t, Hash>& counts) {
   return f;
 }
 
-std::string FormatFamily(const char* name, const FamilyStats& f) {
+std::string FormatFamily(IndexFamily family, const FamilyStats& f) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
-                "%-5s buckets=%zu entries=%zu mean=%.2f max=%zu", name,
-                f.buckets, f.entries, f.MeanBucket(), f.max_bucket);
+                "%-5s buckets=%zu entries=%zu mean=%.2f max=%zu",
+                IndexFamilyName(family).data(), f.buckets, f.entries,
+                f.MeanBucket(), f.max_bucket);
   return buf;
 }
 
 }  // namespace
+
+std::string_view IndexFamilyName(IndexFamily family) {
+  switch (family) {
+    case IndexFamily::kWhole:
+      return "whole";
+    case IndexFamily::kFirst:
+      return "first";
+    case IndexFamily::kLast:
+      return "last";
+  }
+  return "";
+}
 
 const ColumnStats* StoreStats::Find(RelId rel, uint32_t col) const {
   auto it = relations.find(rel);
@@ -42,19 +52,10 @@ const ColumnStats* StoreStats::Find(RelId rel, uint32_t col) const {
   return &it->second.columns[col];
 }
 
-double StoreStats::EstimateWhole(RelId rel, uint32_t col) const {
-  const ColumnStats* c = Find(rel, col);
-  return c == nullptr ? kUnknownWhole : c->whole.MeanBucket();
-}
-
-double StoreStats::EstimateFirst(RelId rel, uint32_t col) const {
-  const ColumnStats* c = Find(rel, col);
-  return c == nullptr ? kUnknownFirstLast : c->first.MeanBucket();
-}
-
-double StoreStats::EstimateLast(RelId rel, uint32_t col) const {
-  const ColumnStats* c = Find(rel, col);
-  return c == nullptr ? kUnknownFirstLast : c->last.MeanBucket();
+double StoreStats::Estimate(RelId rel, uint32_t col,
+                            IndexFamily family) const {
+  if (const ColumnStats* c = Find(rel, col)) return c->of(family).MeanBucket();
+  return family == IndexFamily::kWhole ? kUnknownWhole : kUnknownFirstLast;
 }
 
 double StoreStats::EstimateScan(RelId rel) const {
@@ -72,9 +73,9 @@ void StoreStats::MergeFrom(const StoreStats& other,
       mine.columns.resize(theirs.columns.size());
     }
     for (size_t col = 0; col < theirs.columns.size(); ++col) {
-      mine.columns[col].whole.MergeFrom(theirs.columns[col].whole);
-      mine.columns[col].first.MergeFrom(theirs.columns[col].first);
-      mine.columns[col].last.MergeFrom(theirs.columns[col].last);
+      for (IndexFamily f : kIndexFamilies) {
+        mine.columns[col].of(f).MergeFrom(theirs.columns[col].of(f));
+      }
     }
   };
   if (only == nullptr) {
@@ -101,15 +102,14 @@ void StoreStats::DiscountFrom(const StoreStats& other) {
     }
     size_t cols = std::min(mine.columns.size(), theirs.columns.size());
     for (size_t col = 0; col < cols; ++col) {
-      const ColumnStats& t = theirs.columns[col];
-      ColumnStats& m = mine.columns[col];
       // Entries subtract exactly (each tombstoned fact was indexed once);
       // bucket counts only shrink when a whole key disappears, which we
       // cannot see from the aggregate — keeping them is the conservative
       // estimate (mean bucket sizes shrink, never inflate).
-      m.whole.entries = floor_sub(m.whole.entries, t.whole.entries);
-      m.first.entries = floor_sub(m.first.entries, t.first.entries);
-      m.last.entries = floor_sub(m.last.entries, t.last.entries);
+      for (IndexFamily f : kIndexFamilies) {
+        FamilyStats& m = mine.columns[col].of(f);
+        m.entries = floor_sub(m.entries, theirs.columns[col].of(f).entries);
+      }
     }
   }
 }
@@ -119,11 +119,10 @@ std::string StoreStats::ToString(const Universe& u) const {
   for (const auto& [rel, rs] : relations) {
     out += u.RelName(rel) + "  tuples=" + std::to_string(rs.tuples) + "\n";
     for (size_t col = 0; col < rs.columns.size(); ++col) {
-      const ColumnStats& c = rs.columns[col];
       std::string prefix = "  col " + std::to_string(col) + "  ";
-      out += prefix + FormatFamily("whole", c.whole) + "\n";
-      out += prefix + FormatFamily("first", c.first) + "\n";
-      out += prefix + FormatFamily("last", c.last) + "\n";
+      for (IndexFamily f : kIndexFamilies) {
+        out += prefix + FormatFamily(f, rs.columns[col].of(f)) + "\n";
+      }
     }
   }
   return out;
@@ -138,20 +137,19 @@ StoreStats ComputeInstanceStats(const Universe& u, const Instance& inst) {
     uint32_t arity = u.RelArity(rel);
     rs.columns.resize(arity);
     for (uint32_t col = 0; col < arity; ++col) {
-      std::unordered_map<PathId, size_t, std::hash<PathId>> whole;
-      std::unordered_map<Value, size_t, ValueHash> first, last;
+      std::array<std::unordered_map<uint32_t, size_t>, kNumIndexFamilies>
+          counts;
       for (const Tuple& t : tuples) {
         if (col >= t.size()) continue;
-        ++whole[t[col]];
-        std::span<const Value> path = u.GetPath(t[col]);
-        if (!path.empty()) {
-          ++first[path.front()];
-          ++last[path.back()];
+        for (IndexFamily f : kIndexFamilies) {
+          if (std::optional<uint32_t> key = IndexKey(u, f, t[col])) {
+            ++counts[static_cast<size_t>(f)][*key];
+          }
         }
       }
-      rs.columns[col].whole = Finalize(whole);
-      rs.columns[col].first = Finalize(first);
-      rs.columns[col].last = Finalize(last);
+      for (IndexFamily f : kIndexFamilies) {
+        rs.columns[col].of(f) = Finalize(counts[static_cast<size_t>(f)]);
+      }
     }
     stats.relations.emplace(rel, std::move(rs));
   }
@@ -215,10 +213,10 @@ void StoreStats::Scale(double factor) {
       continue;
     }
     for (ColumnStats& c : rs.columns) {
-      for (FamilyStats* f : {&c.whole, &c.first, &c.last}) {
-        f->buckets = scale(f->buckets);
-        f->entries = scale(f->entries);
-        f->max_bucket = scale(f->max_bucket);
+      for (FamilyStats& f : c.families) {
+        f.buckets = scale(f.buckets);
+        f.entries = scale(f.entries);
+        f.max_bucket = scale(f.max_bucket);
       }
     }
     ++it;

@@ -1,8 +1,13 @@
-// Store statistics: measured per-(relation, column, index-family) bucket
-// shapes, the input of the selectivity-aware planner (plan.h).
+// Index families and store statistics: the one definition of what a scan
+// can be keyed on, and the measured per-(relation, column, family) bucket
+// shapes the selectivity-aware planner (plan.h) ranks them by.
 //
-// For every (relation, column) pair the engine maintains three hash index
-// families (whole-value, first-value, last-value — see index.h). The cost
+// Every predicate argument is a path expression. A scan can key on three
+// ground parts of one: the whole path, the first value of a ground
+// prefix, or the last value of a ground suffix — the IndexFamily. The
+// planner records the family in PlanStep, the stores (index.h) bucket
+// tuples by IndexKey, and the statistics below measure the same buckets,
+// so the column -> key rule lives in IndexKey alone. The cost
 // of answering a scan step through one of them is the size of the probed
 // bucket, so the planner ranks candidate access paths by each family's
 // *mean bucket size*: a near-constant column has one huge bucket (mean ≈
@@ -28,11 +33,16 @@
 #ifndef SEQDL_ENGINE_STATS_H_
 #define SEQDL_ENGINE_STATS_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/instance.h"
@@ -40,6 +50,38 @@
 #include "src/term/universe.h"
 
 namespace seqdl {
+
+/// What a scan probes a (relation, column) index on. The order is the
+/// planner's tie-break rank: an exact whole-value probe beats the
+/// overapproximating first/last-value probes when estimates are equal.
+enum class IndexFamily : uint8_t { kWhole, kFirst, kLast };
+
+inline constexpr size_t kNumIndexFamilies = 3;
+inline constexpr std::array<IndexFamily, kNumIndexFamilies> kIndexFamilies =
+    {IndexFamily::kWhole, IndexFamily::kFirst, IndexFamily::kLast};
+
+/// "whole", "first" or "last".
+std::string_view IndexFamilyName(IndexFamily family);
+
+/// The kFirst/kLast key of a path with `values`: the raw bits of its
+/// first/last Value (PathId and Value are both 32 bits, so one bucket map
+/// type serves every family). nullopt for the empty path: it has no end
+/// value, so it files under no such bucket, and as a probe's ground run
+/// it constrains nothing.
+inline std::optional<uint32_t> EndValueKey(IndexFamily family,
+                                           std::span<const Value> values) {
+  if (values.empty()) return std::nullopt;
+  return (family == IndexFamily::kFirst ? values.front() : values.back())
+      .bits();
+}
+
+/// The bucket a stored column value `path` files under in `family`'s
+/// index: the PathId itself, or its EndValueKey.
+inline std::optional<uint32_t> IndexKey(const Universe& u, IndexFamily family,
+                                        PathId path) {
+  if (family == IndexFamily::kWhole) return path;
+  return EndValueKey(family, u.GetPath(path));
+}
 
 /// Bucket shape of one index family of one (relation, column) pair.
 struct FamilyStats {
@@ -68,11 +110,14 @@ struct FamilyStats {
   }
 };
 
-/// All three index families of one column.
+/// All three index families of one column, indexed by IndexFamily.
 struct ColumnStats {
-  FamilyStats whole;
-  FamilyStats first;
-  FamilyStats last;
+  std::array<FamilyStats, kNumIndexFamilies> families;
+
+  FamilyStats& of(IndexFamily f) { return families[static_cast<size_t>(f)]; }
+  const FamilyStats& of(IndexFamily f) const {
+    return families[static_cast<size_t>(f)];
+  }
 };
 
 /// One relation: tuple count plus per-column family stats.
@@ -82,7 +127,7 @@ struct RelationStats {
 };
 
 /// Measured statistics for a whole store, keyed by relation. The planner's
-/// Estimate* accessors fall back to fixed priors for relations the stats
+/// estimates fall back to fixed priors for relations the stats
 /// never saw (IDB relations derived by rules, whose contents only exist
 /// at run time): a whole-value probe is assumed near-selective, prefix/suffix
 /// probes somewhat less, and a full scan expensive — which reproduces the
@@ -95,12 +140,8 @@ struct StoreStats {
   static constexpr double kUnknownFirstLast = 8.0;
   static constexpr double kUnknownScan = 256.0;
 
-  /// Expected tuples enumerated by a whole-value probe of (rel, col).
-  double EstimateWhole(RelId rel, uint32_t col) const;
-  /// Expected tuples enumerated by a first-value probe of (rel, col).
-  double EstimateFirst(RelId rel, uint32_t col) const;
-  /// Expected tuples enumerated by a last-value probe of (rel, col).
-  double EstimateLast(RelId rel, uint32_t col) const;
+  /// Expected tuples enumerated by a `family` probe of (rel, col).
+  double Estimate(RelId rel, uint32_t col, IndexFamily family) const;
   /// Expected tuples enumerated by a full scan of `rel`.
   double EstimateScan(RelId rel) const;
 

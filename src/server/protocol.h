@@ -89,8 +89,8 @@ enum class MsgType : uint8_t {
 /// incompatible change; exchanged via kHello so mismatched peers fail
 /// with a structured error instead of misdecoding each other's frames.
 /// Version 2: run replies carry every EvalStats counter. Version 3: adds
-/// path_interns.
-constexpr uint32_t kWireVersion = 3;
+/// path_interns. Version 4: drops the delta-index probe counter.
+constexpr uint32_t kWireVersion = 4;
 
 /// "compile" / "run" / ... for logs and errors.
 const char* MsgTypeToString(MsgType type);

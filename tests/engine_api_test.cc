@@ -4,7 +4,10 @@
 // store itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -252,49 +255,11 @@ TEST(EngineTest, SuffixProbesFireOnSuffixGroundPattern) {
   EXPECT_EQ(scan_stats.suffix_probes, 0u);
 }
 
-TEST(EngineTest, DeltaIndexProbesFireAboveThreshold) {
-  Universe u;
-  Result<ParsedQuery> q = ParsePaperQuery(u, "reach_ab");
-  ASSERT_TRUE(q.ok());
-  GraphWorkload gw;
-  gw.nodes = 24;
-  gw.edges = 48;
-  gw.seed = 9;
-  Result<Instance> in = GraphToInstance(u, RandomGraph(gw), "R");
-  ASSERT_TRUE(in.ok());
-  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
-  ASSERT_TRUE(prog.ok());
-
-  RunOptions always;
-  always.delta_index_threshold = 0;  // index every delta
-  EvalStats always_stats;
-  Result<Instance> indexed = prog->Run(*in, always, &always_stats);
-  ASSERT_TRUE(indexed.ok());
-  EXPECT_GT(always_stats.delta_index_probes, 0u);
-  EXPECT_LE(always_stats.delta_index_probes, always_stats.delta_scans);
-
-  RunOptions never;
-  never.delta_index_threshold = static_cast<size_t>(-1);
-  EvalStats never_stats;
-  Result<Instance> linear = prog->Run(*in, never, &never_stats);
-  ASSERT_TRUE(linear.ok());
-  EXPECT_EQ(never_stats.delta_index_probes, 0u);
-
-  // Indexed and linear delta scans derive the same facts, and the default
-  // threshold agrees too.
-  EXPECT_EQ(*indexed, *linear);
-  Result<Instance> default_run = prog->Run(*in);
-  ASSERT_TRUE(default_run.ok());
-  EXPECT_EQ(*indexed, *default_run);
-}
-
-TEST(EngineTest, DeltaIndexThresholdBoundaries) {
+TEST(EngineTest, RestrictedDeltaScansMatchNaiveAndUnindexedRuns) {
   // A chain n0 -> n1 -> ... -> n8 and reachability from n0: the
-  // recursive T scan leads its delta-first plan and runs keyed
-  // (first-value on the constant n0), and the first delta round holds
-  // exactly `edges` tuples — so the indexed-or-linear decision at
-  // RunOptions::delta_index_threshold is observable precisely at the
-  // boundary.
+  // recursive T scan leads its delta-first plan, where nothing is bound
+  // yet, so each round's restricted application is one plain loop over
+  // the round's delta.
   constexpr size_t kEdges = 8;
   Universe u;
   Program p = MustParse(u,
@@ -309,51 +274,22 @@ TEST(EngineTest, DeltaIndexThresholdBoundaries) {
   Result<PreparedProgram> prog = Engine::Compile(u, std::move(p));
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
 
-  auto run_with_threshold = [&](size_t threshold, EvalStats* stats) {
-    RunOptions opts;
-    opts.delta_index_threshold = threshold;
-    Result<Instance> out = prog->Run(in, opts, stats);
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    return std::move(out).value();
-  };
+  EvalStats stats;
+  Result<Instance> out = prog->Run(in, {}, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(stats.delta_scans, kEdges);  // one per round after round 0
 
-  // 0 = every non-empty delta is indexed; every keyed delta scan probes.
-  EvalStats zero;
-  Instance out_zero = run_with_threshold(0, &zero);
-  EXPECT_GT(zero.delta_index_probes, 0u);
-  EXPECT_EQ(zero.delta_index_probes, zero.delta_scans);
-
-  // Exactly at the threshold: the first delta round holds kEdges tuples,
-  // and a delta of exactly threshold size is indexed (size < threshold is
-  // the linear-scan condition). Later rounds hold one tuple each and scan
-  // linearly, so exactly that one round probes — once, for the one
-  // restricted application.
-  EvalStats at;
-  Instance out_at = run_with_threshold(kEdges, &at);
-  EXPECT_EQ(at.delta_index_probes, 1u);
-  EXPECT_EQ(zero.delta_scans, kEdges);  // one per round after round 0
-
-  // One above: no delta ever reaches the threshold; all scans linear.
-  EvalStats above;
-  Instance out_above = run_with_threshold(kEdges + 1, &above);
-  EXPECT_EQ(above.delta_index_probes, 0u);
-  EXPECT_GT(above.delta_scans, 0u);
-
-  // Huge: never index (the documented SIZE_MAX escape hatch).
-  EvalStats huge;
-  Instance out_huge = run_with_threshold(static_cast<size_t>(-1), &huge);
-  EXPECT_EQ(huge.delta_index_probes, 0u);
-
-  // Results are byte-identical at every boundary, and match the
-  // no-index-at-all ablation.
-  EXPECT_EQ(out_zero, out_at);
-  EXPECT_EQ(out_zero, out_above);
-  EXPECT_EQ(out_zero, out_huge);
+  // The answer equals the naive run's and the no-index ablation's.
+  RunOptions naive;
+  naive.seminaive = false;
+  Result<Instance> naive_out = prog->Run(in, naive);
+  ASSERT_TRUE(naive_out.ok());
+  EXPECT_EQ(*out, *naive_out);
   RunOptions no_index;
   no_index.use_index = false;
   Result<Instance> scanned = prog->Run(in, no_index);
   ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(out_zero, *scanned);
+  EXPECT_EQ(*out, *scanned);
 }
 
 // Example 2.1 with the automaton inlined as program facts: N, D and F
@@ -492,18 +428,21 @@ TEST(IndexedInstanceTest, ProbeAgreesWithScan) {
   base.Add(r, {u.PathOfChars("a"), u.PathOfChars("y")});
   base.Add(r, {u.PathOfChars("b"), u.PathOfChars("z")});
   IndexedInstance store(u, base);
+  auto whole = [&](uint32_t col, const char* key) {
+    return store.Probe(r, col, IndexFamily::kWhole, u.PathOfChars(key)).size();
+  };
 
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("a")).size(), 2u);
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("b")).size(), 1u);
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("c")).size(), 0u);
-  EXPECT_EQ(store.Probe(r, 1, u.PathOfChars("z")).size(), 1u);
+  EXPECT_EQ(whole(0, "a"), 2u);
+  EXPECT_EQ(whole(0, "b"), 1u);
+  EXPECT_EQ(whole(0, "c"), 0u);
+  EXPECT_EQ(whole(1, "z"), 1u);
 
   // Incremental maintenance: new facts land in already-built indexes.
   EXPECT_TRUE(store.Add(r, {u.PathOfChars("a"), u.PathOfChars("w")}));
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("a")).size(), 3u);
+  EXPECT_EQ(whole(0, "a"), 3u);
   // Duplicates are ignored.
   EXPECT_FALSE(store.Add(r, {u.PathOfChars("a"), u.PathOfChars("w")}));
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("a")).size(), 3u);
+  EXPECT_EQ(whole(0, "a"), 3u);
 }
 
 TEST(IndexedInstanceTest, ProbeFirstBucketsByLeadingValue) {
@@ -515,16 +454,17 @@ TEST(IndexedInstanceTest, ProbeFirstBucketsByLeadingValue) {
   base.Add(r, {u.PathOfChars("ba")});
   base.Add(r, {kEmptyPath});  // empty path: in no first-value bucket
   IndexedInstance store(u, base);
+  auto first = [&](const char* atom) {
+    Value v = Value::Atom(u.InternAtom(atom));
+    return store.Probe(r, 0, IndexFamily::kFirst, v.bits()).size();
+  };
 
-  Value a = Value::Atom(u.InternAtom("a"));
-  Value b = Value::Atom(u.InternAtom("b"));
-  Value c = Value::Atom(u.InternAtom("c"));
-  EXPECT_EQ(store.ProbeFirst(r, 0, a).size(), 2u);
-  EXPECT_EQ(store.ProbeFirst(r, 0, b).size(), 1u);
-  EXPECT_EQ(store.ProbeFirst(r, 0, c).size(), 0u);
+  EXPECT_EQ(first("a"), 2u);
+  EXPECT_EQ(first("b"), 1u);
+  EXPECT_EQ(first("c"), 0u);
 
   EXPECT_TRUE(store.Add(r, {u.PathOfChars("ad")}));
-  EXPECT_EQ(store.ProbeFirst(r, 0, a).size(), 3u);
+  EXPECT_EQ(first("a"), 3u);
 }
 
 TEST(IndexedInstanceTest, ProbeLastBucketsByTrailingValue) {
@@ -537,17 +477,90 @@ TEST(IndexedInstanceTest, ProbeLastBucketsByTrailingValue) {
   base.Add(r, {u.PathOfChars("b")});
   base.Add(r, {kEmptyPath});  // empty path: in no last-value bucket
   IndexedInstance store(u, base);
+  auto last = [&](const char* atom) {
+    Value v = Value::Atom(u.InternAtom(atom));
+    return store.Probe(r, 0, IndexFamily::kLast, v.bits()).size();
+  };
 
-  Value a = Value::Atom(u.InternAtom("a"));
-  Value b = Value::Atom(u.InternAtom("b"));
-  Value c = Value::Atom(u.InternAtom("c"));
-  EXPECT_EQ(store.ProbeLast(r, 0, b).size(), 3u);  // ab, cb, b
-  EXPECT_EQ(store.ProbeLast(r, 0, a).size(), 1u);  // ba
-  EXPECT_EQ(store.ProbeLast(r, 0, c).size(), 0u);
+  EXPECT_EQ(last("b"), 3u);  // ab, cb, b
+  EXPECT_EQ(last("a"), 1u);  // ba
+  EXPECT_EQ(last("c"), 0u);
 
   // Incremental maintenance mirrors the first-value index.
   EXPECT_TRUE(store.Add(r, {u.PathOfChars("db")}));
-  EXPECT_EQ(store.ProbeLast(r, 0, b).size(), 4u);
+  EXPECT_EQ(last("b"), 4u);
+}
+
+TEST(IndexedInstanceTest, RemoveKeepsEveryBuiltFamilyConsistent) {
+  Universe u;
+  RelId r = *u.InternRel("R", 2);
+  // Every tuple the store ever holds; their column values are the keys
+  // checked below, so removed tuples' buckets are checked too.
+  const std::vector<Tuple> ever = {
+      {u.PathOfChars("ab"), u.PathOfChars("x")},
+      {u.PathOfChars("ac"), kEmptyPath},
+      {u.PathOfChars("cb"), u.PathOfChars("xy")},
+      {kEmptyPath, u.PathOfChars("y")},
+      {u.PathOfChars("ad"), kEmptyPath},  // added after the build
+      {u.PathOfChars("b"), u.PathOfChars("yx")},
+  };
+  Instance base;
+  for (size_t i = 0; i < 4; ++i) base.Add(r, ever[i]);
+  IndexedInstance store(u, base);
+
+  // A family's probe for the key `of` files under, against a filtered
+  // scan of the instance: whole values compare as paths, first/last
+  // values as the path's end values (an empty path has neither).
+  auto check_all = [&](const std::string& when) {
+    for (uint32_t col : {0u, 1u}) {
+      for (IndexFamily f : kIndexFamilies) {
+        for (const Tuple& probe : ever) {
+          PathId of = probe[col];
+          std::span<const Value> key_path = u.GetPath(of);
+          std::vector<Tuple> want;
+          for (const Tuple& t : store.Tuples(r)) {
+            std::span<const Value> p = u.GetPath(t[col]);
+            bool ends = !p.empty() && !key_path.empty();
+            if ((f == IndexFamily::kWhole && t[col] == of) ||
+                (f == IndexFamily::kFirst && ends &&
+                 p.front() == key_path.front()) ||
+                (f == IndexFamily::kLast && ends &&
+                 p.back() == key_path.back())) {
+              want.push_back(t);
+            }
+          }
+          std::vector<Tuple> got;
+          if (std::optional<uint32_t> key = IndexKey(u, f, of)) {
+            for (const Tuple* t : store.Probe(r, col, f, *key)) {
+              got.push_back(*t);
+            }
+          }
+          std::sort(want.begin(), want.end());
+          std::sort(got.begin(), got.end());
+          EXPECT_EQ(got, want) << when << ": col " << col << " family "
+                               << IndexFamilyName(f) << " key "
+                               << u.FormatPath(of);
+        }
+      }
+    }
+  };
+
+  check_all("built");  // the first probes build all six indexes
+  EXPECT_TRUE(store.Add(r, ever[4]));
+  EXPECT_TRUE(store.Add(r, ever[5]));
+  check_all("added after the build");
+  // Only the whole-value family indexes an empty-path column.
+  EXPECT_EQ(store.Probe(r, 1, IndexFamily::kWhole, kEmptyPath).size(), 2u);
+  EXPECT_FALSE(IndexKey(u, IndexFamily::kFirst, kEmptyPath).has_value());
+  EXPECT_FALSE(IndexKey(u, IndexFamily::kLast, kEmptyPath).has_value());
+
+  EXPECT_TRUE(store.Remove(r, ever[0]));
+  EXPECT_TRUE(store.Remove(r, ever[1]));  // an empty-path column
+  EXPECT_TRUE(store.Remove(r, ever[3]));  // empty first column
+  EXPECT_FALSE(store.Remove(r, ever[3]));  // already gone
+  check_all("removed");
+  EXPECT_EQ(store.Probe(r, 1, IndexFamily::kWhole, kEmptyPath).size(), 1u);
+  EXPECT_EQ(store.Tuples(r).size(), 3u);
 }
 
 TEST(BaseStoreTest, ProbesAgreeAcrossAllThreeFamilies) {
@@ -558,16 +571,21 @@ TEST(BaseStoreTest, ProbesAgreeAcrossAllThreeFamilies) {
   base.Add(r, {u.PathOfChars("ac"), u.PathOfChars("y")});
   base.Add(r, {u.PathOfChars("cb"), u.PathOfChars("x")});
   BaseStore store(u, std::move(base));
+  auto whole = [&](RelId rel, uint32_t col, PathId key) {
+    return store.Probe(rel, col, IndexFamily::kWhole, key).size();
+  };
 
   Value a = Value::Atom(u.InternAtom("a"));
   Value b = Value::Atom(u.InternAtom("b"));
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("ab")).size(), 1u);
-  EXPECT_EQ(store.Probe(r, 1, u.PathOfChars("x")).size(), 2u);
-  EXPECT_EQ(store.ProbeFirst(r, 0, a).size(), 2u);  // ab, ac
-  EXPECT_EQ(store.ProbeLast(r, 0, b).size(), 2u);   // ab, cb
+  EXPECT_EQ(whole(r, 0, u.PathOfChars("ab")), 1u);
+  EXPECT_EQ(whole(r, 1, u.PathOfChars("x")), 2u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kFirst, a.bits()).size(),
+            2u);  // ab, ac
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kLast, b.bits()).size(),
+            2u);  // ab, cb
   // Absent relations and out-of-range columns return the empty bucket.
-  EXPECT_EQ(store.Probe(r + 1, 0, kEmptyPath).size(), 0u);
-  EXPECT_EQ(store.Probe(r, 7, kEmptyPath).size(), 0u);
+  EXPECT_EQ(whole(r + 1, 0, kEmptyPath), 0u);
+  EXPECT_EQ(whole(r, 7, kEmptyPath), 0u);
   // One slot per column built (all three families build together).
   EXPECT_EQ(store.NumIndexedColumns(), 2u);
 }

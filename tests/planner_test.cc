@@ -214,10 +214,11 @@ TEST(SelectivityPlannerTest, PicksMostSelectiveWholeKeyOnSkewedData) {
 
   // Legacy heuristic: the first fully ground argument of R wins — the
   // near-constant tag column, whose bucket holds the whole relation.
-  Result<RulePlan> legacy = PlanRule(u, rule, /*reorder_scans=*/true);
+  Result<RulePlan> legacy = PlanRule(u, rule, PlannerOptions{});
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   ASSERT_EQ(legacy->steps.size(), 2u);
-  EXPECT_EQ(legacy->steps[1].index_arg, 0);
+  EXPECT_EQ(legacy->steps[1].arg, 0);
+  EXPECT_EQ(legacy->steps[1].family, IndexFamily::kWhole);
 
   // Selectivity-aware: measured mean bucket sizes (20.0 vs 1.0) flip the
   // key to the unique id column.
@@ -226,11 +227,12 @@ TEST(SelectivityPlannerTest, PicksMostSelectiveWholeKeyOnSkewedData) {
   Result<RulePlan> planned = PlanRule(u, rule, opts);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   ASSERT_EQ(planned->steps.size(), 2u);
-  EXPECT_EQ(planned->steps[1].index_arg, 1);
+  EXPECT_EQ(planned->steps[1].arg, 1);
+  EXPECT_EQ(planned->steps[1].family, IndexFamily::kWhole);
   EXPECT_TRUE(planned->steps[1].stats_chosen);
   EXPECT_DOUBLE_EQ(planned->steps[1].est_cost, 1.0);
   // The P scan stays a full scan, estimated at the relation size.
-  EXPECT_EQ(planned->steps[0].index_arg, -1);
+  EXPECT_EQ(planned->steps[0].arg, -1);
   EXPECT_DOUBLE_EQ(planned->steps[0].est_cost, 20.0);
 }
 
@@ -251,10 +253,11 @@ TEST(SelectivityPlannerTest, PrefixProbeBeatsNearConstantWholeKey) {
   const Rule& rule = p.strata[0].rules[0];
 
   // Legacy: a fully ground argument always wins, however unselective.
-  Result<RulePlan> legacy = PlanRule(u, rule, /*reorder_scans=*/true);
+  Result<RulePlan> legacy = PlanRule(u, rule, PlannerOptions{});
   ASSERT_TRUE(legacy.ok());
   ASSERT_EQ(legacy->steps.size(), 2u);
-  EXPECT_EQ(legacy->steps[1].index_arg, 0);
+  EXPECT_EQ(legacy->steps[1].arg, 0);
+  EXPECT_EQ(legacy->steps[1].family, IndexFamily::kWhole);
 
   // Selectivity-aware: the first-value probe on column 1 (mean bucket
   // 1.0) beats the whole-value probe on column 0 (mean bucket 16.0).
@@ -263,8 +266,8 @@ TEST(SelectivityPlannerTest, PrefixProbeBeatsNearConstantWholeKey) {
   Result<RulePlan> planned = PlanRule(u, rule, opts);
   ASSERT_TRUE(planned.ok());
   ASSERT_EQ(planned->steps.size(), 2u);
-  EXPECT_EQ(planned->steps[1].index_arg, -1);
-  EXPECT_EQ(planned->steps[1].prefix_arg, 1);
+  EXPECT_EQ(planned->steps[1].arg, 1);
+  EXPECT_EQ(planned->steps[1].family, IndexFamily::kFirst);
   EXPECT_TRUE(planned->steps[1].stats_chosen);
   EXPECT_DOUBLE_EQ(planned->steps[1].est_cost, 1.0);
 }
@@ -282,7 +285,7 @@ TEST(SelectivityPlannerTest, ReordersBodyAtomsByEstimatedCost) {
   const Rule& rule = p.strata[0].rules[0];
 
   // Legacy ordering keeps body order (no variables bound either way).
-  Result<RulePlan> legacy = PlanRule(u, rule, /*reorder_scans=*/true);
+  Result<RulePlan> legacy = PlanRule(u, rule, PlannerOptions{});
   ASSERT_TRUE(legacy.ok());
   ASSERT_EQ(legacy->steps.size(), 2u);
   EXPECT_EQ(legacy->steps[0].lit_idx, 0u);
@@ -298,7 +301,8 @@ TEST(SelectivityPlannerTest, ReordersBodyAtomsByEstimatedCost) {
   EXPECT_EQ(planned->steps[0].lit_idx, 1u);
   EXPECT_DOUBLE_EQ(planned->steps[0].est_cost, 2.0);
   EXPECT_EQ(planned->steps[1].lit_idx, 0u);
-  EXPECT_EQ(planned->steps[1].index_arg, 0);
+  EXPECT_EQ(planned->steps[1].arg, 0);
+  EXPECT_EQ(planned->steps[1].family, IndexFamily::kWhole);
 
   // Both plans derive the same facts (the harness checks this at scale;
   // pin it here for the fixture).
@@ -332,7 +336,7 @@ TEST(SelectivityPlannerTest, UnskewedDataPinsLegacyChoices) {
   StoreStats stats = ComputeInstanceStats(u, in);
   const Rule& rule = p.strata[0].rules[0];
 
-  Result<RulePlan> legacy = PlanRule(u, rule, /*reorder_scans=*/true);
+  Result<RulePlan> legacy = PlanRule(u, rule, PlannerOptions{});
   PlannerOptions opts;
   opts.stats = &stats;
   Result<RulePlan> planned = PlanRule(u, rule, opts);
@@ -341,9 +345,8 @@ TEST(SelectivityPlannerTest, UnskewedDataPinsLegacyChoices) {
   ASSERT_EQ(planned->steps.size(), legacy->steps.size());
   for (size_t i = 0; i < planned->steps.size(); ++i) {
     EXPECT_EQ(planned->steps[i].lit_idx, legacy->steps[i].lit_idx) << i;
-    EXPECT_EQ(planned->steps[i].index_arg, legacy->steps[i].index_arg) << i;
-    EXPECT_EQ(planned->steps[i].prefix_arg, legacy->steps[i].prefix_arg) << i;
-    EXPECT_EQ(planned->steps[i].suffix_arg, legacy->steps[i].suffix_arg) << i;
+    EXPECT_EQ(planned->steps[i].arg, legacy->steps[i].arg) << i;
+    EXPECT_EQ(planned->steps[i].family, legacy->steps[i].family) << i;
   }
 }
 
@@ -434,6 +437,86 @@ TEST(SelectivityPlannerTest, InlinedFactsPlanFromTheirOwnStatistics) {
   EXPECT_EQ(fast->Project({a}).ToString(u), "A(a·b).\n");
 }
 
+// ExplainPlan pinned byte for byte, with and without statistics: whole-,
+// first- and last-value keys, full scans, recursive delta variants,
+// equations and negation checks. Guards DescribeStep and the shape of
+// PlanStep (one argument position plus one IndexFamily per scan).
+TEST(SelectivityPlannerTest, ExplainPlanGolden) {
+  Universe u;
+  Program p = MustParse(u,
+                        "T(@x ++ @y) <- E(@x ++ @y).\n"
+                        "T(@x ++ @z) <- T(@x ++ @y), E(@y ++ @z).\n"
+                        "Starts($x) <- W(a ++ $x).\n"
+                        "Ends($x) <- W($x ++ b).\n"
+                        "Both(@y) <- T(@x ++ @y), L(k, @x ++ @y).\n"
+                        "---\n"
+                        "Rest($y) <- W($x), $x = a ++ $y, !Ends($y).\n");
+  Instance in = MustInstance(
+      u,
+      "E(n0 ++ n1). E(n1 ++ n2). E(n2 ++ n3). E(n3 ++ n4).\n"
+      "W(a ++ b). W(a ++ c ++ b). W(c ++ a). W(a). W(eps). W(b ++ b).\n"
+      "L(k, n0 ++ n1). L(k, n1 ++ n3). L(k, n2 ++ n3). L(m, n0 ++ n4).\n");
+  Result<Database> db = Database::Open(u, in);
+  ASSERT_TRUE(db.ok());
+  Result<PreparedProgram> planned = db->Compile(p);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(planned->ExplainPlan(),
+    "stratum 0\n"
+    "  rule 0: T(@x·@y) <- E(@x·@y).\n"
+    "    step 0: scan E: full scan, est 4.00 [stats]\n"
+    "  rule 1: T(@x·@z) <- T(@x·@y), E(@y·@z).\n"
+    "    step 0: scan E: full scan, est 4.00 [stats]\n"
+    "    step 1: scan T: last-value key col 0 (suffix @y), est 8.00 [prior] "
+    "[delta]\n"
+    "    delta T (literal 0)\n"
+    "      step 0: scan T: full scan, est 256.00 [prior]\n"
+    "      step 1: scan E: first-value key col 0 (prefix @y), est 1.00 "
+    "[stats]\n"
+    "  rule 2: Starts($x) <- W(a·$x).\n"
+    "    step 0: scan W: first-value key col 0 (prefix a), est 1.67 [stats]\n"
+    "  rule 3: Ends($x) <- W($x·b).\n"
+    "    step 0: scan W: last-value key col 0 (suffix b), est 2.50 [stats]\n"
+    "  rule 4: Both(@y) <- T(@x·@y), L(k, @x·@y).\n"
+    "    step 0: scan L: whole-value key col 0, est 2.00 [stats]\n"
+    "    step 1: scan T: whole-value key col 0, est 1.00 [prior] [delta]\n"
+    "    delta T (literal 0)\n"
+    "      step 0: scan T: full scan, est 256.00 [prior]\n"
+    "      step 1: scan L: whole-value key col 1, est 1.00 [stats]\n"
+    "stratum 1\n"
+    "  rule 0: Rest($y) <- W($x), $x = a·$y, !Ends($y).\n"
+    "    step 0: scan W: full scan, est 6.00 [stats]\n"
+    "    step 1: eq $x = a·$y\n"
+    "    step 2: check !Ends($y)\n");
+
+  Result<PreparedProgram> legacy = Engine::Compile(u, p);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy->ExplainPlan(),
+    "stratum 0\n"
+    "  rule 0: T(@x·@y) <- E(@x·@y).\n"
+    "    step 0: scan E: full scan\n"
+    "  rule 1: T(@x·@z) <- T(@x·@y), E(@y·@z).\n"
+    "    step 0: scan T: full scan [delta]\n"
+    "    step 1: scan E: first-value key col 0 (prefix @y)\n"
+    "    delta T (literal 0)\n"
+    "      step 0: scan T: full scan\n"
+    "      step 1: scan E: first-value key col 0 (prefix @y)\n"
+    "  rule 2: Starts($x) <- W(a·$x).\n"
+    "    step 0: scan W: first-value key col 0 (prefix a)\n"
+    "  rule 3: Ends($x) <- W($x·b).\n"
+    "    step 0: scan W: last-value key col 0 (suffix b)\n"
+    "  rule 4: Both(@y) <- T(@x·@y), L(k, @x·@y).\n"
+    "    step 0: scan T: full scan [delta]\n"
+    "    step 1: scan L: whole-value key col 0\n"
+    "    delta T (literal 0)\n"
+    "      step 0: scan T: full scan\n"
+    "      step 1: scan L: whole-value key col 0\n"
+    "stratum 1\n"
+    "  rule 0: Rest($y) <- W($x), $x = a·$y, !Ends($y).\n"
+    "    step 0: scan W: full scan\n"
+    "    step 1: eq $x = a·$y\n"
+    "    step 2: check !Ends($y)\n");
+}
+
 TEST(SelectivityPlannerTest, OnlyFactDefinedUnknownRelationsAreSeeded) {
   Universe u;
   Program p = MustParse(u,
@@ -452,7 +535,7 @@ TEST(SelectivityPlannerTest, OnlyFactDefinedUnknownRelationsAreSeeded) {
   EXPECT_FALSE(stats.Knows(z));  // a rule
   ASSERT_TRUE(stats.Knows(d));
   EXPECT_EQ(stats.relations.at(d).tuples, 2u);
-  EXPECT_DOUBLE_EQ(stats.EstimateWhole(d, 1), 1.0);
+  EXPECT_DOUBLE_EQ(stats.Estimate(d, 1, IndexFamily::kWhole), 1.0);
   EXPECT_EQ(stats.relations.at(f).tuples, 1u);
   ASSERT_TRUE(stats.Knows(g));  // packed ground facts count too
   EXPECT_EQ(stats.relations.at(g).tuples, 1u);
